@@ -9,10 +9,18 @@
 //! (WSDM'17)**, which scans links by descending score and accepts any link
 //! whose two endpoints are still free — a ½-approximation of the optimum
 //! (property-tested here against an exact matcher).
+//!
+//! **Cost.** `O(n + m log m)` per call, where `n` is the number of
+//! candidates and `m` the number of free links above threshold: one pass
+//! builds the above-threshold list, which is fully sorted because the
+//! greedy scan needs the whole order. The fixed-link set and the
+//! used-endpoint sets are boolean tables indexed by candidate and by user
+//! id (a dense index, so a table has one entry per user), and every
+//! membership test is one array read. The driver calls this on every inner
+//! iteration.
 
 use crate::ord::cmp_scores_desc;
 use hetnet::UserId;
-use std::collections::{HashMap, HashSet};
 
 /// Result of a greedy selection round.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +41,8 @@ pub struct Selection {
 ///   by default" enters the optimization;
 /// * `fixed_neg` — indices whose label is fixed to 0 (negatively-queried);
 /// * `threshold` — acceptance threshold on `ŷ` (0.5 in the paper).
+///
+/// Indices in `fixed_pos` and `fixed_neg` must be below `candidates.len()`.
 pub fn greedy_select(
     scores: &[f64],
     candidates: &[(UserId, UserId)],
@@ -42,15 +52,13 @@ pub fn greedy_select(
 ) -> Selection {
     assert_eq!(scores.len(), candidates.len(), "score per candidate");
     let mut labels = vec![0.0; candidates.len()];
-    let mut left_used: HashSet<u32> = HashSet::new();
-    let mut right_used: HashSet<u32> = HashSet::new();
-    let fixed_neg: HashSet<usize> = fixed_neg.iter().copied().collect();
-    let mut fixed: HashSet<usize> = fixed_neg.clone();
+    let Endpoints {
+        fixed,
+        mut left_used,
+        mut right_used,
+    } = Endpoints::new(candidates, fixed_pos, fixed_neg);
     for &i in fixed_pos {
         labels[i] = 1.0;
-        left_used.insert(candidates[i].0 .0);
-        right_used.insert(candidates[i].1 .0);
-        fixed.insert(i);
     }
 
     // Free links above threshold, by descending score with NaN last (as
@@ -58,21 +66,52 @@ pub fn greedy_select(
     // must not poison the order or panic a sweep); ties break by index for
     // determinism.
     let mut order: Vec<usize> = (0..candidates.len())
-        .filter(|i| !fixed.contains(i) && scores[*i] > threshold)
+        .filter(|&i| !fixed[i] && scores[i] > threshold)
         .collect();
     order.sort_by(|&a, &b| cmp_scores_desc(scores[a], scores[b]).then(a.cmp(&b)));
 
     let mut weight = 0.0;
     for i in order {
         let (l, r) = candidates[i];
-        if !left_used.contains(&l.0) && !right_used.contains(&r.0) {
+        if !left_used[l.index()] && !right_used[r.index()] {
             labels[i] = 1.0;
-            left_used.insert(l.0);
-            right_used.insert(r.0);
+            left_used[l.index()] = true;
+            right_used[r.index()] = true;
             weight += 2.0 * scores[i] - 1.0;
         }
     }
     Selection { labels, weight }
+}
+
+/// The fixed-link mask and the endpoints the fixed positives saturate, as
+/// boolean tables indexed by candidate and by user id.
+struct Endpoints {
+    fixed: Vec<bool>,
+    left_used: Vec<bool>,
+    right_used: Vec<bool>,
+}
+
+impl Endpoints {
+    fn new(candidates: &[(UserId, UserId)], fixed_pos: &[usize], fixed_neg: &[usize]) -> Self {
+        let (lefts, rights) = candidates.iter().fold((0, 0), |(nl, nr), &(l, r)| {
+            (nl.max(l.index() + 1), nr.max(r.index() + 1))
+        });
+        let mut e = Endpoints {
+            fixed: vec![false; candidates.len()],
+            left_used: vec![false; lefts],
+            right_used: vec![false; rights],
+        };
+        for &i in fixed_neg {
+            e.fixed[i] = true;
+        }
+        for &i in fixed_pos {
+            let (l, r) = candidates[i];
+            e.left_used[l.index()] = true;
+            e.right_used[r.index()] = true;
+            e.fixed[i] = true;
+        }
+        e
+    }
 }
 
 /// Exact maximum-weight matching by exhaustive search — exponential, tests
@@ -85,21 +124,17 @@ pub fn optimal_select(
     fixed_neg: &[usize],
     threshold: f64,
 ) -> f64 {
-    let fixed_neg: HashSet<usize> = fixed_neg.iter().copied().collect();
-    let mut left_used: HashSet<u32> = HashSet::new();
-    let mut right_used: HashSet<u32> = HashSet::new();
-    let mut fixed: HashSet<usize> = fixed_neg;
-    for &i in fixed_pos {
-        left_used.insert(candidates[i].0 .0);
-        right_used.insert(candidates[i].1 .0);
-        fixed.insert(i);
-    }
+    let Endpoints {
+        fixed,
+        mut left_used,
+        mut right_used,
+    } = Endpoints::new(candidates, fixed_pos, fixed_neg);
     let free: Vec<usize> = (0..candidates.len())
-        .filter(|i| {
-            !fixed.contains(i)
-                && scores[*i] > threshold
-                && !left_used.contains(&candidates[*i].0 .0)
-                && !right_used.contains(&candidates[*i].1 .0)
+        .filter(|&i| {
+            !fixed[i]
+                && scores[i] > threshold
+                && !left_used[candidates[i].0.index()]
+                && !right_used[candidates[i].1.index()]
         })
         .collect();
     assert!(free.len() <= 20, "exact matcher is for tiny tests only");
@@ -109,25 +144,23 @@ pub fn optimal_select(
         pos: usize,
         scores: &[f64],
         candidates: &[(UserId, UserId)],
-        left: &mut HashMap<u32, bool>,
-        right: &mut HashMap<u32, bool>,
+        left: &mut [bool],
+        right: &mut [bool],
     ) -> f64 {
         if pos == free.len() {
             return 0.0;
         }
         let skip = rec(free, pos + 1, scores, candidates, left, right);
         let i = free[pos];
-        let (l, r) = candidates[i];
-        let l_used = *left.get(&l.0).unwrap_or(&false);
-        let r_used = *right.get(&r.0).unwrap_or(&false);
-        if l_used || r_used {
+        let (l, r) = (candidates[i].0.index(), candidates[i].1.index());
+        if left[l] || right[r] {
             return skip;
         }
-        left.insert(l.0, true);
-        right.insert(r.0, true);
+        left[l] = true;
+        right[r] = true;
         let take = 2.0 * scores[i] - 1.0 + rec(free, pos + 1, scores, candidates, left, right);
-        left.insert(l.0, false);
-        right.insert(r.0, false);
+        left[l] = false;
+        right[r] = false;
         skip.max(take)
     }
     rec(
@@ -135,8 +168,8 @@ pub fn optimal_select(
         0,
         scores,
         candidates,
-        &mut HashMap::new(),
-        &mut HashMap::new(),
+        &mut left_used,
+        &mut right_used,
     )
 }
 
@@ -144,6 +177,7 @@ pub fn optimal_select(
 mod tests {
     use super::*;
     use std::cmp::Ordering;
+    use std::collections::HashMap;
 
     fn c(pairs: &[(u32, u32)]) -> Vec<(UserId, UserId)> {
         pairs.iter().map(|&(l, r)| (UserId(l), UserId(r))).collect()

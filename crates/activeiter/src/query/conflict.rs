@@ -24,10 +24,15 @@
 //! (one-sided near-ties), (3) the highest-scored remaining negatives — all
 //! still "likely false negatives" in the paper's sense. The strict,
 //! no-fallback variant is kept for the query-strategy ablation.
+//!
+//! **Cost.** One pass over the `n` candidates classifies each queryable
+//! negative into its tier, looking up the endpoint positives in tables
+//! indexed by user id; each tier then gives up only its best `k` (see
+//! [`crate::query`]), so a round costs `O(n + k log k)`.
 
 use super::{QueryContext, QueryStrategy};
-use crate::ord::cmp_scores_desc;
-use std::collections::{HashMap, HashSet};
+use crate::ord::{cmp_scores_desc, top_k_by};
+use hetnet::UserId;
 
 /// The paper's query strategy (with tiered fallback by default).
 #[derive(Debug, Clone)]
@@ -70,16 +75,20 @@ impl QueryStrategy for ConflictQuery {
     }
 
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        // Positive link at each endpoint (one-to-one ⇒ at most one each).
-        let mut left_pos: HashMap<u32, usize> = HashMap::new();
-        let mut right_pos: HashMap<u32, usize> = HashMap::new();
+        // Positive link at each endpoint (one-to-one ⇒ at most one each),
+        // in tables indexed by user id.
+        let mut left_pos: Vec<Option<usize>> = Vec::new();
+        let mut right_pos: Vec<Option<usize>> = Vec::new();
         for (i, &lab) in ctx.labels.iter().enumerate() {
             // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
             if lab == 1.0 {
-                left_pos.insert(ctx.candidates[i].0 .0, i);
-                right_pos.insert(ctx.candidates[i].1 .0, i);
+                let (l, r) = ctx.candidates[i];
+                mark(&mut left_pos, l, i);
+                mark(&mut right_pos, r, i);
             }
         }
+        let positive_at =
+            |table: &[Option<usize>], u: UserId| table.get(u.index()).copied().flatten();
         // The paper's constants assume positive scores ≈ 1; multiply by the
         // current positive scale so the conditions are scale-invariant.
         let tau = self.tau * ctx.positive_scale;
@@ -99,8 +108,8 @@ impl QueryStrategy for ConflictQuery {
             }
             let (l, r) = ctx.candidates[i];
             let yi = ctx.scores[i];
-            let cl = left_pos.get(&l.0).copied();
-            let cr = right_pos.get(&r.0).copied();
+            let cl = positive_at(&left_pos, l);
+            let cr = positive_at(&right_pos, r);
 
             let mut best_gain: Option<f64> = None;
             if let (Some(cl), Some(cr)) = (cl, cr) {
@@ -129,32 +138,32 @@ impl QueryStrategy for ConflictQuery {
             }
         }
 
-        let by_value_desc = |v: &mut Vec<(usize, f64)>| {
-            v.sort_by(|a, b| cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0)));
-        };
-        by_value_desc(&mut tier1);
-        by_value_desc(&mut tier2);
-        by_value_desc(&mut tier3);
-
-        let mut out: Vec<usize> = Vec::with_capacity(ctx.batch);
-        let mut seen: HashSet<usize> = HashSet::new();
-        let tiers: &[Vec<(usize, f64)>] = if self.fallback {
-            &[tier1, tier2, tier3]
+        // The tiers are disjoint, so each contributes its own best until
+        // the batch is full.
+        let tiers = if self.fallback {
+            vec![tier1, tier2, tier3]
         } else {
-            &[tier1]
+            vec![tier1]
         };
+        let mut out: Vec<usize> = Vec::with_capacity(ctx.batch);
         for tier in tiers {
-            for &(i, _) in tier {
-                if out.len() == ctx.batch {
-                    return out;
-                }
-                if seen.insert(i) {
-                    out.push(i);
-                }
-            }
+            let room = ctx.batch - out.len();
+            let best = top_k_by(tier, room, |a, b| {
+                cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0))
+            });
+            out.extend(best.into_iter().map(|(i, _)| i));
         }
         out
     }
+}
+
+/// Records `i` as the positive link at `user`, growing the table on demand.
+fn mark(table: &mut Vec<Option<usize>>, user: UserId, i: usize) {
+    let u = user.index();
+    if u >= table.len() {
+        table.resize(u + 1, None);
+    }
+    table[u] = Some(i);
 }
 
 #[cfg(test)]

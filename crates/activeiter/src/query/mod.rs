@@ -7,6 +7,14 @@
 //! squeezed out of the matching by a conflicting positive of nearly equal
 //! score while clearly beating another conflicting positive. The other
 //! strategies are the ActiveIter-Rand baseline and two ablations.
+//!
+//! **Cost of a selection.** A round looks at all `n` candidates but keeps
+//! only `k = batch` of them. [`ConflictQuery`], [`UncertaintyQuery`] and
+//! [`TopScoreQuery`] score the candidates in one pass and then take the
+//! `k` best with a linear-time partial selection, sorting just those `k`:
+//! `O(n + k log k)` per round, never a full `O(n log n)` sort. Score ties
+//! break by candidate index, so the selection is exactly the first `k` of
+//! the full ranking. [`RandomQuery`] shuffles its whole pool, `O(n)`.
 
 mod conflict;
 mod random;

@@ -3,7 +3,7 @@
 //! structure. The ablation bench shows what the conflict conditions add.
 
 use super::{QueryContext, QueryStrategy};
-use crate::ord::cmp_scores_desc;
+use crate::ord::{cmp_scores_desc, top_k_by};
 
 /// Queries the highest-scored candidates currently labeled negative.
 #[derive(Debug, Clone, Default)]
@@ -15,13 +15,13 @@ impl QueryStrategy for TopScoreQuery {
     }
 
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        let mut ranked: Vec<usize> = (0..ctx.candidates.len())
+        let ranked: Vec<usize> = (0..ctx.candidates.len())
             // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
             .filter(|&i| ctx.queryable[i] && ctx.labels[i] == 0.0)
             .collect();
-        ranked.sort_by(|&a, &b| cmp_scores_desc(ctx.scores[a], ctx.scores[b]).then(a.cmp(&b)));
-        ranked.truncate(ctx.batch);
-        ranked
+        top_k_by(ranked, ctx.batch, |&a, &b| {
+            cmp_scores_desc(ctx.scores[a], ctx.scores[b]).then(a.cmp(&b))
+        })
     }
 }
 

@@ -4,7 +4,7 @@
 //! which additionally exploits the one-to-one constraint structure.
 
 use super::{QueryContext, QueryStrategy};
-use crate::ord::cmp_scores_asc;
+use crate::ord::{cmp_scores_asc, top_k_by};
 
 /// Queries the candidates with the smallest `|ŷ − threshold|`, where the
 /// threshold is the model's current decision boundary (from the context).
@@ -17,12 +17,16 @@ impl QueryStrategy for UncertaintyQuery {
     }
 
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        let mut ranked: Vec<(usize, f64)> = (0..ctx.candidates.len())
+        let ranked: Vec<(usize, f64)> = (0..ctx.candidates.len())
             .filter(|&i| ctx.queryable[i])
             .map(|i| (i, (ctx.scores[i] - ctx.threshold).abs()))
             .collect();
-        ranked.sort_by(|a, b| cmp_scores_asc(a.1, b.1).then(a.0.cmp(&b.0)));
-        ranked.into_iter().take(ctx.batch).map(|(i, _)| i).collect()
+        top_k_by(ranked, ctx.batch, |a, b| {
+            cmp_scores_asc(a.1, b.1).then(a.0.cmp(&b.0))
+        })
+        .into_iter()
+        .map(|(i, _)| i)
+        .collect()
     }
 }
 

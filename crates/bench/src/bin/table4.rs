@@ -79,10 +79,12 @@ fn main() {
             active,
             (gamma + 0.1) * 100.0,
             pu_plus,
-            if active >= pu_plus {
-                "← active wins"
-            } else {
-                ""
+            // A tie is not a win: equal cells (ActiveIter-100 collapsing
+            // onto Iter-MPMD) are marked apart.
+            match active.partial_cmp(&pu_plus) {
+                Some(std::cmp::Ordering::Greater) => "← active wins",
+                Some(std::cmp::Ordering::Equal) => "= tie",
+                _ => "",
             }
         );
     }
