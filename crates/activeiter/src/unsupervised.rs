@@ -96,7 +96,7 @@ mod tests {
         // features should recover a non-trivial share of anchors — and far
         // more than a shifted (wrong) assignment would.
         use hetnet::aligned::anchor_matrix;
-        use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet};
+        use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet, Threading};
         let w = datagen::generate(&datagen::presets::tiny(47));
         let amat = anchor_matrix(w.left().n_users(), w.right().n_users(), &[]).unwrap();
         let engine = CountEngine::new(w.left(), w.right(), amat).unwrap();
@@ -112,7 +112,7 @@ mod tests {
             let wrong = truth[(i + 1) % n_true].right;
             candidates.push((a.left, wrong));
         }
-        let fm = extract_features(&engine, &catalog, &candidates);
+        let fm = extract_features(&engine, &catalog, &candidates, Threading::Serial);
         let r = unsupervised_align(&candidates, &fm.x, 0.0);
         let correct = (0..n_true).filter(|&i| r.labels[i] == 1.0).count();
         let wrong = (n_true..candidates.len())

@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetnet::aligned::anchor_matrix;
-use metadiagram::{
-    extract_features, extract_features_par, Catalog, CountEngine, FeatureSet, Threading,
-};
+use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet, Threading};
 
 fn bench_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("feature_extraction");
@@ -29,7 +27,7 @@ fn bench_extraction(c: &mut Criterion) {
                         anchor_matrix(world.left().n_users(), world.right().n_users(), &train)
                             .unwrap();
                     let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
-                    extract_features(&engine, &catalog, &candidates)
+                    extract_features(&engine, &catalog, &candidates, Threading::Serial)
                 })
             });
         }
@@ -49,29 +47,17 @@ fn bench_extraction_parallel(c: &mut Criterion) {
     let catalog = Catalog::new(FeatureSet::Full);
     let amat = anchor_matrix(world.left().n_users(), world.right().n_users(), &train).unwrap();
 
-    group.bench_with_input(BenchmarkId::new("serial", "small/MPMD"), &(), |b, _| {
-        b.iter(|| {
-            let engine = CountEngine::new(world.left(), world.right(), amat.clone()).unwrap();
-            extract_features(&engine, &catalog, &candidates)
-        })
-    });
-    for threads in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads{threads}"), "small/MPMD"),
-            &(),
-            |b, _| {
-                b.iter(|| {
-                    let engine =
-                        CountEngine::new(world.left(), world.right(), amat.clone()).unwrap();
-                    extract_features_par(
-                        &engine,
-                        &catalog,
-                        &candidates,
-                        Threading::Threads(threads),
-                    )
-                })
-            },
-        );
+    for (label, threading) in [
+        ("serial", Threading::Serial),
+        ("threads2", Threading::Threads(2)),
+        ("threads4", Threading::Threads(4)),
+    ] {
+        group.bench_with_input(BenchmarkId::new(label, "small/MPMD"), &(), |b, _| {
+            b.iter(|| {
+                let engine = CountEngine::new(world.left(), world.right(), amat.clone()).unwrap();
+                extract_features(&engine, &catalog, &candidates, threading)
+            })
+        });
     }
     group.finish();
 }

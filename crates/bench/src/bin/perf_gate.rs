@@ -20,11 +20,12 @@
 //! `--paired` additionally compares two methods **within the fresh
 //! records**: in every (bench, cell) where both methods were measured, the
 //! `new` method must not exceed the `ref` method by tolerance + slack.
-//! This gates the fast path against its reference path inside a single
-//! run — same machine, same load — so it works from the very first CI run
-//! with no baseline at all, and is how the per-dimension cells of
-//! `BENCH_session_delta.json` (`splice:add`, `region-exact:region-union`,
-//! `dag:levels`, `prox-delta:prox-full`) are enforced.
+//! This gates the fast path against its from-scratch counterpart inside a
+//! single run — same machine, same load — so it works from the very first
+//! CI run with no baseline at all, and is how the cells of
+//! `BENCH_session_delta.json` (`region-exact:full-recount`, `dag:serial`)
+//! are enforced. A pair that compares no cell at all (a renamed or
+//! dropped method) fails: it would otherwise gate nothing, silently.
 //!
 //! The records are the flat documents written by
 //! [`bench::record::BenchRecorder`];
@@ -116,6 +117,8 @@ struct GateReport {
     compared: usize,
     /// Fresh keys with no baseline cell — recorded, never failed.
     new_cells: usize,
+    /// `--paired` specs (`new:ref`) that matched no cell — failures.
+    unmatched_pairs: Vec<String>,
     /// Human-readable findings, one line each.
     lines: Vec<String>,
 }
@@ -173,7 +176,8 @@ fn gate(baseline: &Records, fresh: &Records, tolerance: f64, slack_ms: f64) -> G
 
 /// In-run comparison of two methods over every shared (bench, cell): the
 /// `new` method regresses where it exceeds the `ref` method by tolerance +
-/// slack. Needs no baseline — both sides come from the same fresh run.
+/// slack. Needs no baseline — both sides come from the same fresh run. A
+/// pair with no shared cell is reported in `unmatched_pairs`.
 fn gate_paired(
     fresh: &Records,
     pairs: &[(String, String)],
@@ -182,6 +186,7 @@ fn gate_paired(
 ) -> GateReport {
     let mut report = GateReport::default();
     for (new_method, ref_method) in pairs {
+        let compared_before = report.compared;
         for (key, new_cell) in fresh {
             if &key.1 != new_method {
                 continue;
@@ -208,6 +213,14 @@ fn gate_paired(
                 ));
                 report.regressions.push(key.clone());
             }
+        }
+        if report.compared == compared_before {
+            let spec = format!("{new_method}:{ref_method}");
+            report.lines.push(format!(
+                "PAIRED UNMATCHED: {spec} compared no cell — no {new_method} cell has a \
+                 {ref_method} partner"
+            ));
+            report.unmatched_pairs.push(spec);
         }
     }
     report
@@ -301,14 +314,16 @@ fn main() -> ExitCode {
     }
     if !opts.paired.is_empty() {
         println!(
-            "perf_gate: paired {} cells across {} method pair(s): {} regression(s)",
+            "perf_gate: paired {} cells across {} method pair(s): {} regression(s), \
+             {} unmatched pair(s)",
             paired_report.compared,
             opts.paired.len(),
-            paired_report.regressions.len()
+            paired_report.regressions.len(),
+            paired_report.unmatched_pairs.len()
         );
     }
 
-    let mut regressions = paired_report.regressions.len();
+    let mut regressions = paired_report.regressions.len() + paired_report.unmatched_pairs.len();
     if baseline.is_empty() {
         println!(
             "perf_gate: baseline is empty or missing — nothing to gate against \
@@ -418,17 +433,39 @@ mod tests {
         let mut fresh = Records::new();
         // 3x slower but within the absolute slack: CI-runner noise.
         fresh.insert(method_key("dag", "tiny-t2"), cell(3.0));
-        fresh.insert(method_key("levels", "tiny-t2"), cell(1.0));
-        let report = gate_paired(&fresh, &pairs(&[("dag", "levels")]), 0.5, 15.0);
+        fresh.insert(method_key("serial", "tiny-t2"), cell(1.0));
+        let report = gate_paired(&fresh, &pairs(&[("dag", "serial")]), 0.5, 15.0);
         assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
-        // A missing partner is reported, never failed.
+        // A cell without a partner is reported, not failed, while the
+        // pair still compares another cell.
+        fresh.insert(method_key("dag", "tiny-t4"), cell(3.0));
+        let report = gate_paired(&fresh, &pairs(&[("dag", "serial")]), 0.5, 15.0);
+        assert_eq!(report.compared, 1);
+        assert!(report.regressions.is_empty());
+        assert!(report.unmatched_pairs.is_empty());
+        assert!(report.lines.iter().any(|l| l.contains("no serial partner")));
+    }
+
+    #[test]
+    fn paired_spec_that_matches_no_cell_fails() {
         let mut fresh = Records::new();
         fresh.insert(method_key("dag", "tiny-t2"), cell(3.0));
-        let report = gate_paired(&fresh, &pairs(&[("dag", "levels")]), 0.5, 15.0);
-        assert_eq!(report.compared, 0);
+        fresh.insert(method_key("serial", "tiny-t2"), cell(9.0));
+        // A renamed reference method: the pair would gate nothing.
+        let report = gate_paired(
+            &fresh,
+            &pairs(&[("dag", "levels"), ("dag", "serial")]),
+            0.5,
+            15.0,
+        );
+        assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
-        assert!(report.lines.iter().any(|l| l.contains("no levels partner")));
+        assert_eq!(report.unmatched_pairs, vec!["dag:levels".to_string()]);
+        assert!(report.lines.iter().any(|l| l.contains("PAIRED UNMATCHED")));
+        // So does a spec whose new method was never measured.
+        let report = gate_paired(&fresh, &pairs(&[("splice", "add")]), 0.5, 15.0);
+        assert_eq!(report.unmatched_pairs, vec!["splice:add".to_string()]);
     }
 
     #[test]

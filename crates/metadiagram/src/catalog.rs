@@ -176,7 +176,7 @@ impl Catalog {
     }
 
     /// The covering set of every entry, in catalog order (the input to
-    /// [`crate::covering::plan_order`] / [`crate::covering::plan_levels`]).
+    /// [`crate::covering::plan_order`] / [`crate::covering::plan_dag`]).
     pub fn coverings(&self) -> Vec<crate::covering::CoveringSet> {
         self.entries
             .iter()

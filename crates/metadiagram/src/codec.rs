@@ -395,10 +395,6 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
         catalog_pos,
         threading,
         stats,
-        // Policy knobs are runtime tuning, not counting state: a restored
-        // store starts from the defaults like a freshly built one.
-        merge: Default::default(),
-        regions: Default::default(),
     })
 }
 

@@ -27,7 +27,7 @@
 use crate::diagram::{AttrPathId, Diagram, SocialPathId};
 use hetnet::{Direction, HetNet, LinkKind, NodeKind};
 use parking_lot::Mutex;
-use sparsela::{spgemm_threaded, Accumulator, CsrMatrix, Threading};
+use sparsela::{spgemm_par, CsrMatrix, Threading};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -245,8 +245,7 @@ impl<'a> CountEngine<'a> {
 
     fn mul(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
         self.stats.lock().spgemm_calls += 1;
-        spgemm_threaded(a, b, Accumulator::Auto, self.threading)
-            .expect("engine-internal shapes are consistent")
+        spgemm_par(a, b, self.threading).expect("engine-internal shapes are consistent")
     }
 
     fn had(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {

@@ -7,43 +7,23 @@
 //! bias column added by the model layer) is the `X` of the paper's joint
 //! objective.
 //!
-//! Extraction parallelizes on two axes, both controlled by a
-//! [`Threading`] knob and both **bit-identical** to the serial path:
+//! Extraction parallelizes on two axes, both controlled by one
+//! [`Threading`] budget and both **bit-identical** to a single worker:
 //!
 //! * **diagram fan-out** — catalog entries are scheduled over the
 //!   strict-subset dependency DAG ([`crate::covering::plan_dag`]): a
 //!   diagram starts the moment its own covering-set factors are counted,
-//!   with no barrier between covering-set size classes, while workers
-//!   share the engine's Lemma-2 cache ([`DiagramSchedule::Dag`]; the
-//!   pre-DAG level-barrier schedule survives as [`DiagramSchedule::Levels`]
-//!   for measurement);
+//!   while workers share the engine's Lemma-2 cache. One worker walks the
+//!   DAG's topological order ([`crate::covering::plan_order`]);
 //! * **candidate fan-out** — the gather into the dense feature matrix is
 //!   split over contiguous candidate batches.
 
 use crate::catalog::Catalog;
 use crate::count::CountEngine;
-use crate::covering::{plan_dag, plan_levels, plan_order, run_dag};
+use crate::covering::{plan_dag, run_dag};
 use crate::proximity::dice_proximity;
 use hetnet::UserId;
 use sparsela::{CsrMatrix, DenseMatrix, Threading};
-
-/// How the catalog's diagrams are scheduled over worker threads. Both
-/// schedules produce bit-identical matrices at any worker count; they
-/// differ only in synchronization cost, which the `dag_vs_levels` bench
-/// dimension measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiagramSchedule {
-    /// Dependency-graph scheduling ([`crate::covering::plan_dag`] +
-    /// [`crate::covering::run_dag`]): one thread-spawn wave for the whole
-    /// catalog, and a diagram becomes ready the moment its own factors are
-    /// counted.
-    #[default]
-    Dag,
-    /// The pre-DAG reference: covering-set levels
-    /// ([`crate::covering::plan_levels`]) with a thread-spawn wave and a
-    /// join barrier per level.
-    Levels,
-}
 
 /// The extracted feature matrix with column names.
 #[derive(Debug, Clone)]
@@ -66,110 +46,39 @@ impl FeatureMatrix {
     }
 }
 
-/// Computes the per-diagram proximity matrices for the whole catalog.
+/// Computes the per-diagram proximity matrices for the whole catalog,
+/// fanned out over `threading` workers along the covering dependency DAG.
 ///
-/// Evaluation follows [`plan_order`]: diagrams with smaller covering sets
-/// first, so endpoint stackings find their factors cached (Lemma 2 reuse).
-/// Returns the matrices in *catalog order* regardless of evaluation order.
-pub fn proximity_matrices(engine: &CountEngine<'_>, catalog: &Catalog) -> Vec<CsrMatrix> {
-    proximity_matrices_par(engine, catalog, Threading::Serial)
-}
-
-/// [`proximity_matrices`] with the catalog fanned out over worker threads
-/// under the default [`DiagramSchedule::Dag`] schedule. Results are
-/// bit-identical to the serial path at any thread count.
-pub fn proximity_matrices_par(
+/// A diagram runs only after its strict covering subsets are counted, so
+/// endpoint stackings find their factors cached (Lemma 2 reuse); one
+/// worker walks [`crate::covering::plan_order`]. The engine's per-diagram
+/// gates make any interleaving produce the same cached counts, so the
+/// matrices — returned in *catalog order* — are bit-identical at any
+/// worker count.
+pub fn proximity_matrices(
     engine: &CountEngine<'_>,
     catalog: &Catalog,
     threading: Threading,
 ) -> Vec<CsrMatrix> {
-    proximity_matrices_sched(engine, catalog, threading, DiagramSchedule::Dag)
+    run_dag(
+        &plan_dag(&catalog.coverings()),
+        threading.resolve(),
+        |idx| dice_proximity(&engine.count(&catalog.entries()[idx].diagram)),
+    )
 }
 
-/// [`proximity_matrices_par`] with an explicit [`DiagramSchedule`]. The
-/// schedule changes only synchronization: a diagram's Lemma-2 factors are
-/// guaranteed cached before it runs under either (DAG edges are exactly the
-/// strict covering subsets; levels conservatively order by set size), and
-/// the engine's per-diagram gates make any interleaving produce the same
-/// cached counts, so the output is bit-equal across schedules and worker
-/// counts.
-pub fn proximity_matrices_sched(
-    engine: &CountEngine<'_>,
-    catalog: &Catalog,
-    threading: Threading,
-    schedule: DiagramSchedule,
-) -> Vec<CsrMatrix> {
-    let coverings = catalog.coverings();
-    let workers = threading.resolve();
-    if workers <= 1 {
-        let mut out: Vec<Option<CsrMatrix>> = vec![None; catalog.len()];
-        for idx in plan_order(&coverings) {
-            let counts = engine.count(&catalog.entries()[idx].diagram);
-            out[idx] = Some(dice_proximity(&counts));
-        }
-        return out
-            .into_iter()
-            .map(|m| m.expect("every catalog index visited"))
-            .collect();
-    }
-    if schedule == DiagramSchedule::Dag {
-        return run_dag(&plan_dag(&coverings), workers, |idx| {
-            dice_proximity(&engine.count(&catalog.entries()[idx].diagram))
-        });
-    }
-    let mut out: Vec<Option<CsrMatrix>> = vec![None; catalog.len()];
-    for level in plan_levels(&coverings) {
-        let per_worker = level.len().div_ceil(workers);
-        let batches: Vec<Vec<(usize, CsrMatrix)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = level
-                .chunks(per_worker)
-                .map(|idxs| {
-                    scope.spawn(move || {
-                        idxs.iter()
-                            .map(|&idx| {
-                                let counts = engine.count(&catalog.entries()[idx].diagram);
-                                (idx, dice_proximity(&counts))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("proximity worker panicked"))
-                .collect()
-        });
-        for batch in batches {
-            for (idx, prox) in batch {
-                out[idx] = Some(prox);
-            }
-        }
-    }
-    out.into_iter()
-        .map(|m| m.expect("every catalog index visited"))
-        .collect()
-}
-
-/// Extracts the dense feature matrix for `candidates`.
+/// Extracts the dense feature matrix for `candidates`, with diagram
+/// counting *and* the candidate gather fanned out over `threading`
+/// workers. Bit-identical at any worker count.
 ///
 /// Candidates are `(left user, right user)` pairs; rows follow their order.
 pub fn extract_features(
     engine: &CountEngine<'_>,
     catalog: &Catalog,
     candidates: &[(UserId, UserId)],
-) -> FeatureMatrix {
-    extract_features_par(engine, catalog, candidates, Threading::Serial)
-}
-
-/// [`extract_features`] with diagram counting *and* the candidate gather
-/// fanned out over worker threads. Bit-identical to the serial path.
-pub fn extract_features_par(
-    engine: &CountEngine<'_>,
-    catalog: &Catalog,
-    candidates: &[(UserId, UserId)],
     threading: Threading,
 ) -> FeatureMatrix {
-    let proxies = proximity_matrices_par(engine, catalog, threading);
+    let proxies = proximity_matrices(engine, catalog, threading);
     let names = catalog.names().into_iter().map(String::from).collect();
     gather_features(&proxies, names, candidates, threading)
 }
@@ -177,7 +86,7 @@ pub fn extract_features_par(
 /// Gathers per-candidate feature rows from already-computed proximity
 /// matrices (one per feature column, in column order; owned or borrowed —
 /// the session's partial column refresh passes `&[&CsrMatrix]`). This is
-/// the shared tail of [`extract_features_par`] and of the session API's
+/// the shared tail of [`extract_features`] and of the session API's
 /// featurization, so both produce bit-identical matrices by construction.
 /// The gather is split over contiguous candidate batches when `threading`
 /// allows; results are identical at any worker count.
@@ -268,7 +177,7 @@ mod tests {
             .map(|l| (l.left, l.right))
             .take(10)
             .collect();
-        let fm = extract_features(&engine, &catalog, &candidates);
+        let fm = extract_features(&engine, &catalog, &candidates, Threading::Serial);
         assert_eq!(fm.n_rows(), 10);
         assert_eq!(fm.n_features(), 31);
         assert_eq!(fm.names.len(), 31);
@@ -294,8 +203,8 @@ mod tests {
             .map(|(a, b)| (a.left, b.right))
             .collect();
 
-        let ft = extract_features(&engine, &catalog, &true_cands);
-        let fw = extract_features(&engine, &catalog, &wrong_cands);
+        let ft = extract_features(&engine, &catalog, &true_cands, Threading::Serial);
+        let fw = extract_features(&engine, &catalog, &wrong_cands, Threading::Serial);
         let mean = |m: &DenseMatrix| m.data().iter().sum::<f64>() / m.data().len() as f64;
         assert!(
             mean(&ft.x) > mean(&fw.x),
@@ -314,7 +223,7 @@ mod tests {
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
 
         let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let planned = extract_features(&engine, &catalog, &candidates);
+        let planned = extract_features(&engine, &catalog, &candidates, Threading::Serial);
 
         // Naive: count each diagram in catalog order with a fresh engine.
         let fresh = CountEngine::new(w.left(), w.right(), a).unwrap();
@@ -336,16 +245,11 @@ mod tests {
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
 
         let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let serial = extract_features(&serial_engine, &catalog, &candidates);
+        let serial = extract_features(&serial_engine, &catalog, &candidates, Threading::Serial);
 
         for threads in [2usize, 3, 8] {
             let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-            let par = extract_features_par(
-                &engine,
-                &catalog,
-                &candidates,
-                sparsela::Threading::Threads(threads),
-            );
+            let par = extract_features(&engine, &catalog, &candidates, Threading::Threads(threads));
             assert_eq!(par.names, serial.names);
             assert_eq!(
                 par.x.data(),
@@ -361,9 +265,9 @@ mod tests {
         let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
         let catalog = Catalog::new(FeatureSet::Full);
         let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let serial = proximity_matrices(&serial_engine, &catalog);
+        let serial = proximity_matrices(&serial_engine, &catalog, Threading::Serial);
         let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-        let par = proximity_matrices_par(&engine, &catalog, sparsela::Threading::Threads(4));
+        let par = proximity_matrices(&engine, &catalog, Threading::Threads(4));
         assert_eq!(par, serial);
         // The shared cache must have been reused across workers: stacked
         // diagrams only pay a Hadamard once their factors are cached, so
@@ -372,25 +276,23 @@ mod tests {
     }
 
     #[test]
-    fn dag_schedule_is_bit_equal_to_levels_schedule() {
+    fn dag_schedule_is_bit_equal_to_catalog_order_oracle() {
         let (w, train) = setup();
         let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
         let catalog = Catalog::new(FeatureSet::Full);
-        let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let serial = proximity_matrices(&serial_engine, &catalog);
-        for threads in [2usize, 4, 8] {
-            for schedule in [DiagramSchedule::Dag, DiagramSchedule::Levels] {
-                let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-                let got = proximity_matrices_sched(
-                    &engine,
-                    &catalog,
-                    sparsela::Threading::Threads(threads),
-                    schedule,
-                );
-                assert_eq!(got, serial, "{schedule:?} at {threads} threads diverged");
-                // The shared cache still guarantees compute-exactly-once.
-                assert!(engine.stats().cache_misses >= catalog.len());
-            }
+        // Oracle: each diagram counted in catalog order, no scheduler.
+        let fresh = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
+        let oracle: Vec<CsrMatrix> = catalog
+            .entries()
+            .iter()
+            .map(|e| dice_proximity(&fresh.count(&e.diagram)))
+            .collect();
+        for threads in [1usize, 2, 8] {
+            let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
+            let got = proximity_matrices(&engine, &catalog, Threading::Threads(threads));
+            assert_eq!(got, oracle, "DAG at {threads} threads diverged");
+            // The shared cache still guarantees compute-exactly-once.
+            assert_eq!(engine.stats().cache_misses, catalog.len());
         }
     }
 
@@ -400,7 +302,7 @@ mod tests {
         let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
         let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
         let catalog = Catalog::new(FeatureSet::MetaPathsOnly);
-        let fm = extract_features(&engine, &catalog, &[]);
+        let fm = extract_features(&engine, &catalog, &[], Threading::Serial);
         assert_eq!(fm.n_rows(), 0);
         assert_eq!(fm.n_features(), 6);
     }

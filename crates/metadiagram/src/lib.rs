@@ -50,14 +50,10 @@ pub use catalog::{Catalog, CatalogEntry, FeatureSet};
 pub use count::{AttrCountStrategy, CountEngine};
 pub use covering::{plan_dag, run_dag, CoveringSet, DagPlan};
 pub use delta::{
-    ChangedCount, CountMerge, DeltaCatalogCounts, DeltaError, DeltaOutcome, DeltaStats,
-    StackRegions, TouchedRegion,
+    ChangedCount, DeltaCatalogCounts, DeltaError, DeltaOutcome, DeltaStats, TouchedRegion,
 };
 pub use diagram::{AttrPathId, Diagram, SocialPathId};
-pub use features::{
-    extract_features, extract_features_par, gather_features, proximity_matrices,
-    proximity_matrices_par, proximity_matrices_sched, DiagramSchedule, FeatureMatrix,
-};
+pub use features::{extract_features, gather_features, proximity_matrices, FeatureMatrix};
 pub use path::{MetaPath, Step};
 pub use proximity::{dice_proximity, dice_proximity_delta, touch_is_dense};
 pub use sparsela::Threading;

@@ -108,7 +108,6 @@ pub mod workers;
 
 pub use active::{ActiveRunReport, RecountPolicy, RoundStat};
 pub use journal::{CompactionPolicy, Journal, JournalError};
-pub use metadiagram::delta::{CountMerge, StackRegions};
 pub use pool::{PoolError, SessionPool};
 pub use serve::{Coordinator, ServeConfig, ServeError, WorkerSpec};
 pub use sharded::{
@@ -116,7 +115,7 @@ pub use sharded::{
     ShardedSession, ShardedUpdate, StitchedAlignment, StitchedLink,
 };
 pub use snapshot::SnapshotError;
-pub use stages::{AlignmentSession, Counted, Featurized, Fitted, ProximityRefresh, SessionBuilder};
+pub use stages::{AlignmentSession, Counted, Featurized, Fitted, SessionBuilder};
 
 use metadiagram::count::EngineError;
 use metadiagram::DeltaError;

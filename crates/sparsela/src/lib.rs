@@ -42,8 +42,5 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use ridge::RidgeSolver;
-pub use spgemm::{
-    spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_par, spgemm_partitioned,
-    spgemm_threaded, spgemm_with, Accumulator, RowPartition, Threading,
-};
+pub use spgemm::{spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_par, Threading};
 pub use sums::MarginSums;

@@ -2,7 +2,7 @@
 //!
 //! Meta-path instance counting reduces to chains of adjacency products
 //! (PathSim-style); this module provides the Gustavson row-wise kernel used
-//! by the count engine. Two accumulator strategies are provided:
+//! by the count engine. Two accumulator kernels back it:
 //!
 //! * a **dense accumulator** (O(ncols) scratch, fastest when output rows are
 //!   moderately dense), and
@@ -10,26 +10,28 @@
 //!   `(col, val)` pairs and sorts per row — better when the right-hand side
 //!   is extremely wide and rows are very sparse.
 //!
-//! [`Accumulator::Auto`] picks **per row** from a FLOP/width estimate
-//! (a whole-matrix choice mis-picks on skewed row distributions); all paths
-//! produce identical results (property-tested against a naive dense
-//! reference).
+//! The kernel picks one **per row** from a FLOP/width estimate (a
+//! whole-matrix choice mis-picks on skewed row distributions); both produce
+//! identical results (property-tested against a naive dense reference in
+//! this module's unit tests, which can force either kernel).
 //!
 //! The product is embarrassingly parallel over rows of the left operand:
-//! [`spgemm_par`] / [`spgemm_threaded`] split the left operand into
-//! contiguous row blocks, run the Gustavson accumulation per block on scoped
-//! workers, and stitch the per-block CSR outputs. Because row partitioning
-//! never changes the per-row computation, the parallel kernels are
-//! **bit-identical** to the serial ones at any thread count.
+//! [`spgemm_par`] cuts the left operand into contiguous row blocks of equal
+//! estimated FLOPs, runs the Gustavson accumulation per block on scoped
+//! workers, and stitches the per-block CSR outputs. Because row
+//! partitioning never changes the per-row computation, the parallel kernel
+//! is **bit-identical** to the serial one at any thread count.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
 use crate::sums::MarginSums;
 use std::ops::Range;
 
-/// Strategy for the per-row accumulator.
+/// Strategy for the per-row accumulator. Production always runs `Auto`;
+/// the fixed strategies let the unit tests force each kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Accumulator {
+#[cfg_attr(not(test), allow(dead_code))]
+enum Accumulator {
     /// O(ncols) dense scratch with a touched-column list.
     Dense,
     /// Collect-then-sort sparse accumulation.
@@ -65,70 +67,32 @@ impl Threading {
     }
 }
 
-/// How the parallel kernels split the left operand into contiguous row
-/// blocks. Both strategies are **bit-identical** in output — partitioning
-/// never changes the per-row computation, only which worker runs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowPartition {
-    /// Equal row *counts* per block. Simple, but a handful of dense hub
-    /// rows among thousands of near-empty ones leaves most workers idle.
-    Even,
-    /// Equal per-row **FLOP estimates** per block (default): blocks are cut
-    /// so each carries ≈ `total_flops / workers`, reusing the same
-    /// `Σ nnz(rhs.row(k))` estimates that drive [`Accumulator::Auto`].
-    #[default]
-    FlopBalanced,
-}
-
 /// Computes `lhs * rhs`.
 ///
 /// # Errors
 /// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
 pub fn spgemm(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-    spgemm_threaded(lhs, rhs, Accumulator::Auto, Threading::Serial)
-}
-
-/// [`spgemm`] with an explicit accumulator strategy (single-threaded).
-pub fn spgemm_with(lhs: &CsrMatrix, rhs: &CsrMatrix, acc: Accumulator) -> Result<CsrMatrix> {
-    spgemm_threaded(lhs, rhs, acc, Threading::Serial)
+    spgemm_par(lhs, rhs, Threading::Serial)
 }
 
 /// Row-partitioned parallel [`spgemm`]: the left operand is split into
-/// contiguous row blocks, one scoped worker accumulates each block, and the
-/// per-block CSR outputs are stitched. Bit-identical to the serial kernel.
+/// contiguous row blocks carrying ≈ equal FLOP estimates, one scoped worker
+/// accumulates each block, and the per-block CSR outputs are stitched.
+/// Bit-identical to the serial kernel.
 ///
 /// # Errors
 /// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
 pub fn spgemm_par(lhs: &CsrMatrix, rhs: &CsrMatrix, threading: Threading) -> Result<CsrMatrix> {
-    spgemm_threaded(lhs, rhs, Accumulator::Auto, threading)
+    multiply(lhs, rhs, Accumulator::Auto, threading)
 }
 
-/// The fully general entry point: explicit accumulator strategy and
-/// explicit threading.
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
-pub fn spgemm_threaded(
+/// The kernel behind [`spgemm_par`] with the accumulator as a parameter —
+/// the hook the unit tests use to force each strategy.
+fn multiply(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
     acc: Accumulator,
     threading: Threading,
-) -> Result<CsrMatrix> {
-    spgemm_partitioned(lhs, rhs, acc, threading, RowPartition::FlopBalanced)
-}
-
-/// [`spgemm_threaded`] with an explicit [`RowPartition`] strategy. Exists
-/// mainly so the Even-vs-FlopBalanced bit-equality is testable from the
-/// outside; production callers should stay on the default.
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
-pub fn spgemm_partitioned(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    acc: Accumulator,
-    threading: Threading,
-    partition: RowPartition,
 ) -> Result<CsrMatrix> {
     if lhs.ncols() != rhs.nrows() {
         return Err(SparseError::DimMismatch {
@@ -148,11 +112,19 @@ pub fn spgemm_partitioned(
     let flops: Vec<usize> = (0..n)
         .map(|i| lhs.row(i).map(|(k, _)| rhs.row_nnz(k)).sum())
         .collect();
-    let ranges = match partition {
-        RowPartition::Even => partition_even(n, workers),
-        RowPartition::FlopBalanced => partition_flop_balanced(&flops, workers),
-    };
-    let flops = &flops;
+    let ranges = partition_flop_balanced(&flops, workers);
+    Ok(run_blocks(lhs, rhs, ranges, acc, &flops))
+}
+
+/// Accumulates each row block on its own scoped worker and stitches the
+/// fragments in block order.
+fn run_blocks(
+    lhs: &CsrMatrix,
+    rhs: &CsrMatrix,
+    ranges: Vec<Range<usize>>,
+    acc: Accumulator,
+    flops: &[usize],
+) -> CsrMatrix {
     let blocks: Vec<BlockOut> = std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .into_iter()
@@ -163,10 +135,11 @@ pub fn spgemm_partitioned(
             .map(|h| h.join().expect("spgemm worker panicked"))
             .collect()
     });
-    Ok(stitch_blocks(n, rhs.ncols(), blocks))
+    stitch_blocks(lhs.nrows(), rhs.ncols(), blocks)
 }
 
 /// Contiguous row blocks of near-equal row count; the last may be shorter.
+/// The balanced cut's fallback when every row's FLOP estimate is zero.
 fn partition_even(n: usize, workers: usize) -> Vec<Range<usize>> {
     let chunk = n.div_ceil(workers);
     (0..workers)
@@ -377,8 +350,8 @@ pub fn spgemm_lowrank(lt: &CsrMatrix, delta: &CsrMatrix, r: &CsrMatrix) -> Resul
     // L·Δ = (Δᵀ·Lᵀ)ᵀ: the left operand of the inner product has one row per
     // *column* of Δ, so only the Δ-selected rows do any work.
     let dt = delta.transpose();
-    let ldt = spgemm_with(&dt, lt, Accumulator::Auto)?;
-    spgemm_with(&ldt.transpose(), r, Accumulator::Auto)
+    let ldt = spgemm(&dt, lt)?;
+    spgemm(&ldt.transpose(), r)
 }
 
 /// [`spgemm_lowrank`] that also applies the update's row/column-sum deltas
@@ -436,6 +409,13 @@ pub fn spgemm_chain_threaded(mats: &[&CsrMatrix], threading: Threading) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseMatrix;
+    use proptest::prelude::*;
+
+    /// The serial product with the accumulator forced to `acc`.
+    fn forced(lhs: &CsrMatrix, rhs: &CsrMatrix, acc: Accumulator) -> CsrMatrix {
+        multiply(lhs, rhs, acc, Threading::Serial).unwrap()
+    }
 
     fn a() -> CsrMatrix {
         CsrMatrix::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
@@ -458,8 +438,8 @@ mod tests {
 
     #[test]
     fn both_accumulators_agree() {
-        let d = spgemm_with(&a(), &b(), Accumulator::Dense).unwrap();
-        let s = spgemm_with(&a(), &b(), Accumulator::SortMerge).unwrap();
+        let d = forced(&a(), &b(), Accumulator::Dense);
+        let s = forced(&a(), &b(), Accumulator::SortMerge);
         assert_eq!(d, s);
     }
 
@@ -495,7 +475,7 @@ mod tests {
         let r = CsrMatrix::from_dense(2, 1, &[1.0, -1.0]);
         let p = spgemm(&l, &r).unwrap();
         assert_eq!(p.nnz(), 0);
-        let p2 = spgemm_with(&l, &r, Accumulator::SortMerge).unwrap();
+        let p2 = forced(&l, &r, Accumulator::SortMerge);
         assert_eq!(p2.nnz(), 0);
     }
 
@@ -586,12 +566,14 @@ mod tests {
     #[test]
     fn partition_strategies_are_bit_equal() {
         let serial = spgemm(&a(), &b()).unwrap();
-        for part in [RowPartition::Even, RowPartition::FlopBalanced] {
-            let p = spgemm_partitioned(&a(), &b(), Accumulator::Auto, Threading::Threads(2), part)
-                .unwrap();
-            assert_eq!(p, serial, "{part:?} diverged");
+        let (l, r) = (a(), b());
+        let flops: Vec<usize> = (0..l.nrows())
+            .map(|i| l.row(i).map(|(k, _)| r.row_nnz(k)).sum())
+            .collect();
+        for ranges in [partition_even(2, 2), partition_flop_balanced(&flops, 2)] {
+            let p = run_blocks(&l, &r, ranges.clone(), Accumulator::Auto, &flops);
+            assert_eq!(p, serial, "{ranges:?} diverged");
         }
-        assert_eq!(RowPartition::default(), RowPartition::FlopBalanced);
     }
 
     #[test]
@@ -659,10 +641,64 @@ mod tests {
         rows.extend_from_slice(&sparse_row);
         let l = CsrMatrix::from_dense(2, width, &rows);
         let r = CsrMatrix::identity(width);
-        let auto = spgemm_with(&l, &r, Accumulator::Auto).unwrap();
-        let dense = spgemm_with(&l, &r, Accumulator::Dense).unwrap();
-        let sm = spgemm_with(&l, &r, Accumulator::SortMerge).unwrap();
+        let auto = forced(&l, &r, Accumulator::Auto);
+        let dense = forced(&l, &r, Accumulator::Dense);
+        let sm = forced(&l, &r, Accumulator::SortMerge);
         assert_eq!(auto, dense);
         assert_eq!(auto, sm);
+    }
+
+    /// A random product pair with small integer entries (exact float
+    /// arithmetic); rows mix empty, light and hub-like patterns.
+    fn pair_for_product(max_dim: usize) -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+        (1..=max_dim, 1..=max_dim, 1..=max_dim).prop_flat_map(|(n, k, m)| {
+            let entry = || prop_oneof![7 => Just(0.0), 3 => (-3i32..=3).prop_map(f64::from)];
+            (
+                proptest::collection::vec(entry(), n * k),
+                proptest::collection::vec(entry(), k * m),
+            )
+                .prop_map(move |(a, b)| {
+                    (
+                        CsrMatrix::from_dense(n, k, &a),
+                        CsrMatrix::from_dense(k, m, &b),
+                    )
+                })
+        })
+    }
+
+    fn naive(lhs: &CsrMatrix, rhs: &CsrMatrix) -> DenseMatrix {
+        lhs.to_dense().matmul(&rhs.to_dense())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn spgemm_accumulators_agree((l, r) in pair_for_product(8)) {
+            // Each forced kernel matches the naive dense product, and the
+            // per-row Auto pick is bit-equal to both fixed strategies.
+            let reference = naive(&l, &r);
+            let dense = forced(&l, &r, Accumulator::Dense);
+            let sort_merge = forced(&l, &r, Accumulator::SortMerge);
+            prop_assert!(dense.to_dense().max_abs_diff(&reference) < 1e-9);
+            prop_assert!(sort_merge.to_dense().max_abs_diff(&reference) < 1e-9);
+            prop_assert_eq!(&dense, &sort_merge);
+            prop_assert_eq!(&forced(&l, &r, Accumulator::Auto), &dense);
+        }
+
+        #[test]
+        fn flop_balanced_partition_is_bit_equal_to_serial(
+            (l, r) in pair_for_product(12),
+            threads in 2usize..=6,
+            acc_pick in 0usize..3
+        ) {
+            // The FLOP-weighted cut must be invisible in the output for
+            // every accumulator: skewed rows (hubs next to empty rows) are
+            // common in these pairs.
+            let acc = [Accumulator::Dense, Accumulator::SortMerge, Accumulator::Auto][acc_pick];
+            let serial = forced(&l, &r, acc);
+            let balanced = multiply(&l, &r, acc, Threading::Threads(threads)).unwrap();
+            prop_assert_eq!(balanced, serial);
+        }
     }
 }

@@ -2,10 +2,7 @@
 //! reference implementation on randomly generated matrices.
 
 use proptest::prelude::*;
-use sparsela::spgemm::{
-    spgemm_chain, spgemm_lowrank, spgemm_par, spgemm_partitioned, spgemm_with, Accumulator,
-    RowPartition, Threading,
-};
+use sparsela::spgemm::{spgemm_chain, spgemm_lowrank, spgemm_par, Threading};
 use sparsela::{
     spgemm, CholeskyFactor, CooMatrix, CsrMatrix, DenseMatrix, MarginSums, RidgeSolver,
 };
@@ -59,17 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn spgemm_accumulators_agree((a, b) in pair_for_product(8)) {
-        // Dense == SortMerge == Auto: the per-row Auto pick must be exactly
-        // the same product as either fixed strategy.
-        let d = spgemm_with(&a, &b, Accumulator::Dense).unwrap();
-        let s = spgemm_with(&a, &b, Accumulator::SortMerge).unwrap();
-        let auto = spgemm_with(&a, &b, Accumulator::Auto).unwrap();
-        prop_assert_eq!(&d, &s);
-        prop_assert_eq!(&d, &auto);
-    }
-
-    #[test]
     fn spgemm_parallel_is_bit_equal_to_serial(
         (a, b) in pair_for_product(12),
         threads in 1usize..=6
@@ -77,28 +63,6 @@ proptest! {
         let serial = spgemm(&a, &b).unwrap();
         let par = spgemm_par(&a, &b, Threading::Threads(threads)).unwrap();
         prop_assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn flop_balanced_partition_is_bit_equal_to_even_split(
-        (a, b) in pair_for_product(12),
-        threads in 2usize..=6,
-        acc_pick in 0usize..3
-    ) {
-        // The FLOP-weighted cut must be invisible in the output: same bits
-        // as the even split and as the serial kernel, for every accumulator
-        // (skewed row distributions included — pair_for_product regularly
-        // produces hub rows next to empty ones).
-        let acc = [Accumulator::Dense, Accumulator::SortMerge, Accumulator::Auto][acc_pick];
-        let serial = spgemm_with(&a, &b, acc).unwrap();
-        let even =
-            spgemm_partitioned(&a, &b, acc, Threading::Threads(threads), RowPartition::Even)
-                .unwrap();
-        let balanced = spgemm_partitioned(
-            &a, &b, acc, Threading::Threads(threads), RowPartition::FlopBalanced,
-        ).unwrap();
-        prop_assert_eq!(&even, &serial);
-        prop_assert_eq!(&balanced, &serial);
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn different_protocol_seeds_change_fold_assignment() {
 #[test]
 fn feature_extraction_is_deterministic() {
     use hetnet::aligned::anchor_matrix;
-    use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet};
+    use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet, Threading};
     let world = datagen::generate(&datagen::presets::tiny(17));
     let train: Vec<_> = world.truth().links()[..10].to_vec();
     let candidates: Vec<_> = world.truth().iter().map(|a| (a.left, a.right)).collect();
@@ -60,7 +60,7 @@ fn feature_extraction_is_deterministic() {
     let run = || {
         let amat = anchor_matrix(world.left().n_users(), world.right().n_users(), &train).unwrap();
         let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
-        extract_features(&engine, &catalog, &candidates)
+        extract_features(&engine, &catalog, &candidates, Threading::Serial)
     };
     let a = run();
     let b = run();

@@ -55,7 +55,7 @@ fn ranking_improves_with_more_supervision() {
 #[test]
 fn words_catalog_runs_through_the_extraction_pipeline() {
     use hetnet::aligned::anchor_matrix;
-    use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet};
+    use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet, Threading};
     let mut cfg = datagen::presets::tiny(29);
     cfg.n_words = 30;
     cfg.words_per_post = 2;
@@ -65,7 +65,7 @@ fn words_catalog_runs_through_the_extraction_pipeline() {
     let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
     let catalog = Catalog::new(FeatureSet::FullWithWords);
     let candidates: Vec<_> = world.truth().iter().map(|a| (a.left, a.right)).collect();
-    let fm = extract_features(&engine, &catalog, &candidates);
+    let fm = extract_features(&engine, &catalog, &candidates, Threading::Serial);
     assert_eq!(fm.n_features(), 58);
     // Word features must carry signal on a words-enabled world.
     let pw_col = catalog.names().iter().position(|&n| n == "PW").unwrap();
