@@ -83,6 +83,7 @@ fn main() {
     let base_bytes = std::fs::read(&path).expect("read saved base");
     let total_anchors = reopened.n_anchors();
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(Journal::path_for(&path)).ok();
 
     // Journal cells: the same trained base persisted as base + delta
     // journal. `journal-append` is the durable per-round cost — append

@@ -1,18 +1,26 @@
 //! Append-only ΔA journaling: per-round checkpoints at O(|ΔA|) instead
 //! of O(session).
 //!
-//! [`snapshot`](crate::snapshot::save) rewrites the whole counted core on every
-//! save (~1.4 MB / ~7 ms at table IV scale), yet between two checkpoints
-//! the *only* state that changed is a small batch of confirmed anchors —
-//! the same observation that makes the in-memory delta path
-//! (`C += L·ΔA·R`) cheap. This module mirrors that shape on disk: a
-//! **base** snapshot (the existing format v1, unmodified) plus an
+//! Writing the whole counted core costs ~1.4 MB / ~7 ms at table IV
+//! scale, yet between two checkpoints the *only* state that changed is a
+//! small batch of confirmed anchors — the same observation that makes the
+//! in-memory delta path (`C += L·ΔA·R`) cheap. This module mirrors that
+//! shape on disk: a **base** snapshot (the [`snapshot`] format) plus an
 //! append-only **journal** of anchor-delta records. A checkpoint appends
-//! a few dozen bytes; [`Journal::open`] replays the journal through
+//! a few dozen bytes; replay runs the journal through
 //! [`AlignmentSession::update_anchors`] — the deterministic delta path —
-//! so the reopened session is **bit-equal** to one reopened from a
-//! freshly saved monolithic snapshot (property-tested in
-//! `tests/journal_props.rs`, including resumed updates and stats).
+//! so the reopened session is **bit-equal** to the live one
+//! (property-tested in `tests/journal_props.rs`, including resumed
+//! updates and stats).
+//!
+//! ## One on-disk form
+//!
+//! A base plus its `<base>.jrnl` journal is the only persisted form of a
+//! session. [`Journal::create`] is the one writer: it publishes a base
+//! and an empty journal pinned to it ([`crate::snapshot::save`] is that
+//! call). One replay routine is the one reader: [`Journal::open`] runs it
+//! and keeps the journal for appending, [`crate::snapshot::open`] runs it
+//! read-only. A missing journal reads as an empty one.
 //!
 //! ## File layout (`<base>.jrnl`)
 //!
@@ -33,8 +41,8 @@
 //!
 //! * a **torn tail** — the file ends inside a frame, or the *last* record
 //!   fails its CRC — is the expected residue of a crash mid-append. The
-//!   intact prefix is replayed and the file is truncated back to it;
-//!   never a refused file.
+//!   intact prefix is replayed and [`Journal::open`] truncates the file
+//!   back to it; never a refused file.
 //! * a **damaged interior** — a record fails its CRC with more records
 //!   after it — cannot be a torn append; replaying past it would
 //!   silently skip a delta, so the open refuses with
@@ -45,7 +53,7 @@
 //! [`Journal::append`] is a buffered write-ahead append: the record
 //! reaches the OS before the in-memory update applies (a process crash
 //! loses nothing), but is not fsynced per append — that is what keeps an
-//! append 2–3 orders of magnitude cheaper than a monolithic save.
+//! append 2–3 orders of magnitude cheaper than writing a new base.
 //! [`Journal::checkpoint`] is the durability point: it appends a
 //! `Checkpoint` record (carrying the anchor count as a replay cross-check)
 //! and fsyncs the journal. Power loss between checkpoints can cost at
@@ -76,10 +84,12 @@
 //! `Compacted` record names a base that does not exist and is ignored on
 //! replay, and post-mark deltas replay normally. Between the base rename
 //! and the journal replacement, the new base sits next to the old
-//! journal: the header mismatches, but [`Journal::open`] finds the
-//! `Compacted` record naming exactly the base now on disk, treats every
-//! record before it as folded, and replays only the records after it —
-//! nothing is lost in either window. When to compact is a policy knob
+//! journal: the header mismatches, but replay finds the `Compacted`
+//! record naming exactly the base now on disk, treats every record
+//! before it as folded, and replays only the records after it — nothing
+//! is lost in either window. [`Journal::open`] then finishes the swap,
+//! leaving the journal byte-identical to the one (3) would have written.
+//! When to compact is a policy knob
 //! ([`CompactionPolicy`]) so serving tiers can trade journal growth
 //! against save cost.
 
@@ -134,7 +144,7 @@ pub enum CompactionPolicy {
 /// journal.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Reading, writing, or syncing the journal file failed.
+    /// Reading the journal, or writing or syncing either file, failed.
     Io(std::io::Error),
     /// The journal file does not start with [`JOURNAL_MAGIC`].
     BadMagic,
@@ -162,7 +172,7 @@ pub enum JournalError {
     /// A record's payload decoded structurally wrong (bad kind byte,
     /// truncated field, trailing bytes) despite a matching CRC.
     Decode(BinError),
-    /// Reading or writing the base snapshot failed.
+    /// Reading or decoding the base snapshot failed.
     Snapshot(SnapshotError),
     /// Replaying an `AnchorDelta` record through the delta path failed —
     /// the journal carries an edge the base's populations cannot hold.
@@ -243,20 +253,6 @@ impl From<SessionError> for JournalError {
     }
 }
 
-impl JournalError {
-    /// Collapses a journal error into the snapshot error space — for the
-    /// monolithic [`crate::snapshot::save`] wrapper, whose callers signed
-    /// up for [`SnapshotError`]. Only `Io`/`Snapshot` can actually arise
-    /// on that path.
-    pub(crate) fn demote(self) -> SnapshotError {
-        match self {
-            JournalError::Io(e) => SnapshotError::Io(e),
-            JournalError::Snapshot(e) => e,
-            other => SnapshotError::Decode(BinError::Malformed(other.to_string())),
-        }
-    }
-}
-
 /// One decoded journal record.
 enum Record {
     /// A batch of confirmed anchors to fold through the delta path.
@@ -311,32 +307,6 @@ fn compacted_payload(base_len: u64, base_crc: u32) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Counts the `AnchorDelta` frames in a frame-aligned byte run (a journal
-/// suffix carried across a compaction). Tolerates a torn tail — the frame
-/// after the tear is simply not counted, matching what replay would keep.
-fn count_delta_frames(frames: &[u8]) -> u32 {
-    let mut n = 0u32;
-    let mut pos = 0usize;
-    while pos + FRAME_LEN <= frames.len() {
-        let mut r = Reader::new(&frames[pos..pos + FRAME_LEN]);
-        let (Ok(payload_len), Ok(_crc)) = (r.u32(), r.u32()) else {
-            break;
-        };
-        let payload_len = payload_len as usize;
-        let Some(end) = pos
-            .checked_add(FRAME_LEN + payload_len)
-            .filter(|&e| e <= frames.len())
-        else {
-            break;
-        };
-        if frames.get(pos + FRAME_LEN) == Some(&REC_ANCHOR_DELTA) {
-            n += 1;
-        }
-        pos = end;
-    }
-    n
-}
-
 fn decode_payload(bytes: &[u8]) -> Result<Record, JournalError> {
     let mut r = Reader::new(bytes);
     let record = match r.u8()? {
@@ -374,10 +344,31 @@ fn decode_payload(bytes: &[u8]) -> Result<Record, JournalError> {
     Ok(record)
 }
 
-/// Scans the record region (header already consumed) and returns the
-/// decoded records plus the valid length of the file — `< bytes.len()`
-/// exactly when a torn tail must be truncated.
-fn scan(bytes: &[u8]) -> Result<(Vec<Record>, usize), JournalError> {
+/// Checks the journal header and returns the base `(len, crc)` it is
+/// pinned to.
+fn read_header(bytes: &[u8]) -> Result<(u64, u32), JournalError> {
+    let mut r = Reader::new(bytes);
+    let magic = r
+        .bytes(JOURNAL_MAGIC.len())
+        .map_err(|_| JournalError::BadMagic)?;
+    if magic != JOURNAL_MAGIC {
+        return Err(JournalError::BadMagic);
+    }
+    let version = r.u32()?;
+    if version != JOURNAL_VERSION {
+        return Err(JournalError::UnsupportedVersion {
+            found: version,
+            supported: JOURNAL_VERSION,
+        });
+    }
+    Ok((r.u64()?, r.u32()?))
+}
+
+/// Scans the record region (header already checked) and returns each
+/// decoded record with the byte offset just past it, plus the valid
+/// length of the file — `< bytes.len()` exactly when a torn tail must be
+/// truncated.
+fn scan(bytes: &[u8]) -> Result<(Vec<(Record, usize)>, usize), JournalError> {
     let mut records = Vec::new();
     let mut pos = HEADER_LEN;
     while pos < bytes.len() {
@@ -402,10 +393,103 @@ fn scan(bytes: &[u8]) -> Result<(Vec<Record>, usize), JournalError> {
             // Interior damage with intact records after it: refuse.
             return Err(JournalError::Checksum { offset: pos as u64 });
         }
-        records.push(decode_payload(payload)?);
         pos += FRAME_LEN + payload_len;
+        records.push((decode_payload(payload)?, pos));
     }
     Ok((records, pos))
+}
+
+/// A base+journal pair as one replay read it: the session it holds, the
+/// base it was replayed onto, and where the journal's live records sit.
+pub(crate) struct Replay {
+    pub(crate) session: AlignmentSession<Counted>,
+    base_len: u64,
+    base_crc: u32,
+    /// The journal file as read; empty when it is missing.
+    jbytes: Vec<u8>,
+    /// Where the records extending the base on disk begin: `HEADER_LEN`
+    /// under a matching header, just past the `Compacted` marker naming
+    /// this base after a crash between a fold's base rename and journal
+    /// swap, and 0 for a missing journal.
+    start: usize,
+    /// End of the intact records (`< jbytes.len()` on a torn tail).
+    end: usize,
+    delta_records: u32,
+}
+
+/// The one reader of a base+journal pair: decodes the base at
+/// `base_path`, then replays the journal records that extend it through
+/// the delta path, cross-checking every `Checkpoint`. Touches no file;
+/// [`Journal::open`] repairs what the returned [`Replay`] reports.
+pub(crate) fn replay(base_path: &Path) -> Result<Replay, JournalError> {
+    let base_bytes = std::fs::read(base_path).map_err(SnapshotError::Io)?;
+    let mut session = snapshot::from_bytes(&base_bytes)?;
+    let base = (base_bytes.len() as u64, crc32(&base_bytes));
+    drop(base_bytes);
+
+    let journal_path = Journal::path_for(base_path);
+    let (jbytes, records, start, end) = match std::fs::read(&journal_path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), Vec::new(), 0, 0),
+        Err(e) => return Err(JournalError::Io(e)),
+        Ok(jbytes) if read_header(&jbytes)? == base => {
+            let (records, end) = scan(&jbytes)?;
+            (jbytes, records, HEADER_LEN, end)
+        }
+        Ok(jbytes) => {
+            // The journal extends some other base. The one legitimate way
+            // here: a compaction that crashed after publishing its new
+            // base but before replacing the journal — recognisable by a
+            // `Compacted` record naming exactly the base now on disk.
+            // Records before that marker were folded into the new base;
+            // records after it arrived mid-compaction and replay onto it.
+            // Anything else refuses.
+            let fold = scan(&jbytes).ok().and_then(|(mut records, end)| {
+                let idx = records.iter().rposition(|(r, _)| {
+                    matches!(r, Record::Compacted { base_len, base_crc }
+                        if (*base_len, *base_crc) == base)
+                })?;
+                let start = records[idx].1;
+                records.drain(..=idx);
+                Some((records, start, end))
+            });
+            let Some((records, start, end)) = fold else {
+                return Err(JournalError::BaseMismatch { path: journal_path });
+            };
+            (jbytes, records, start, end)
+        }
+    };
+
+    let mut delta_records = 0u32;
+    for (record, _) in records {
+        match record {
+            Record::AnchorDelta(edges) => {
+                session.update_anchors(&edges)?;
+                delta_records += 1;
+            }
+            Record::Checkpoint { n_anchors } => {
+                let found = session.n_anchors() as u64;
+                if n_anchors != found {
+                    return Err(JournalError::Inconsistent {
+                        expected: n_anchors,
+                        found,
+                    });
+                }
+            }
+            // A `Compacted` record among the live records is an aborted
+            // compaction (its base never landed): the deltas before it
+            // are already applied, so it is inert.
+            Record::Compacted { .. } => {}
+        }
+    }
+    Ok(Replay {
+        session,
+        base_len: base.0,
+        base_crc: base.1,
+        jbytes,
+        start,
+        end,
+        delta_records,
+    })
 }
 
 /// An open append handle over a `<base>.jrnl` file paired with its base
@@ -435,6 +519,9 @@ struct PendingCompaction {
     /// at or past this offset were appended mid-compaction and must
     /// survive into the fresh journal.
     fold_mark: u64,
+    /// `AnchorDelta` records before the fold mark — the ones the new base
+    /// absorbs.
+    delta_records: u32,
 }
 
 /// A new base snapshot written to a synced temporary file by
@@ -467,17 +554,24 @@ impl fmt::Debug for Journal {
     }
 }
 
-/// Writes a fresh header-only journal next to `journal_path` (atomically,
-/// by rename) and reopens it for appending.
-fn write_fresh(
+/// Publishes the journal at `journal_path` as a header pinned to the
+/// given base plus `records` — raw frames kept verbatim from an older
+/// journal, empty for a new one — atomically by rename, and reopens it
+/// for appending. Returns the handle and the file length. The one way a
+/// journal file is (re)written.
+fn write_journal(
     journal_path: &Path,
     base_len: u64,
     base_crc: u32,
-) -> Result<std::fs::File, JournalError> {
-    snapshot::write_atomic(journal_path, &header_bytes(base_len, base_crc))?;
-    Ok(std::fs::OpenOptions::new()
+    records: &[u8],
+) -> Result<(std::fs::File, u64), JournalError> {
+    let mut bytes = header_bytes(base_len, base_crc);
+    bytes.extend_from_slice(records);
+    snapshot::write_atomic(journal_path, &bytes)?;
+    let file = std::fs::OpenOptions::new()
         .append(true)
-        .open(journal_path)?)
+        .open(journal_path)?;
+    Ok((file, bytes.len() as u64))
 }
 
 impl Journal {
@@ -489,25 +583,34 @@ impl Journal {
         PathBuf::from(p)
     }
 
-    /// Publishes `base_bytes` as the base snapshot at `base_path`
-    /// (atomically, by rename) and starts a fresh, empty journal beside
-    /// it.
+    /// The one writer of the on-disk form: publishes `base_bytes` as the
+    /// base snapshot at `base_path` (atomically, by rename), then starts
+    /// an empty journal pinned to it, superseding any journal already
+    /// there.
     ///
     /// # Errors
-    /// [`JournalError::Snapshot`] / [`JournalError::Io`] when either
-    /// write fails.
+    /// [`JournalError::Io`] when either write fails.
     pub fn create(base_path: impl AsRef<Path>, base_bytes: &[u8]) -> Result<Journal, JournalError> {
-        let base_path = base_path.as_ref().to_path_buf();
+        Journal::create_pinned(base_path.as_ref(), base_bytes, crc32(base_bytes))
+    }
+
+    /// [`Journal::create`] for a caller that already holds
+    /// `crc32(base_bytes)`.
+    pub(crate) fn create_pinned(
+        base_path: &Path,
+        base_bytes: &[u8],
+        base_crc: u32,
+    ) -> Result<Journal, JournalError> {
+        let base_path = base_path.to_path_buf();
         snapshot::write_atomic(&base_path, base_bytes)?;
         let base_len = base_bytes.len() as u64;
-        let base_crc = crc32(base_bytes);
         let journal_path = Journal::path_for(&base_path);
-        let file = write_fresh(&journal_path, base_len, base_crc)?;
+        let (file, journal_len) = write_journal(&journal_path, base_len, base_crc, &[])?;
         Ok(Journal {
             base_path,
             journal_path,
             file,
-            journal_len: HEADER_LEN as u64,
+            journal_len,
             delta_records: 0,
             base_len,
             base_crc,
@@ -515,12 +618,13 @@ impl Journal {
         })
     }
 
-    /// Opens the base snapshot at `base_path`, replays its journal (if
-    /// any) through the delta path, and returns the reconstructed session
-    /// with the journal ready for further appends. A missing journal file
-    /// is a plain monolithic snapshot: a fresh journal is started. A torn
-    /// tail is truncated; see the [module docs](self) for the full
-    /// corruption policy.
+    /// Opens the base snapshot at `base_path`, replays its journal
+    /// through the delta path, and returns the reconstructed session with
+    /// the journal ready for further appends. The files are repaired on
+    /// the way: a torn tail is truncated, a missing journal is started
+    /// empty, and a compaction that crashed before its journal swap is
+    /// finished. See the [module docs](self) for the full corruption
+    /// policy.
     ///
     /// # Errors
     /// See [`JournalError`].
@@ -528,163 +632,37 @@ impl Journal {
         base_path: impl AsRef<Path>,
     ) -> Result<(AlignmentSession<Counted>, Journal), JournalError> {
         let base_path = base_path.as_ref().to_path_buf();
-        let base_bytes = std::fs::read(&base_path).map_err(SnapshotError::Io)?;
-        let mut session = snapshot::from_bytes(&base_bytes)?;
-        let base_len = base_bytes.len() as u64;
-        let base_crc = crc32(&base_bytes);
-        drop(base_bytes);
-
+        let r = replay(&base_path)?;
         let journal_path = Journal::path_for(&base_path);
-        let jbytes = match std::fs::read(&journal_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let file = write_fresh(&journal_path, base_len, base_crc)?;
-                return Ok((
-                    session,
-                    Journal {
-                        base_path,
-                        journal_path,
-                        file,
-                        journal_len: HEADER_LEN as u64,
-                        delta_records: 0,
-                        base_len,
-                        base_crc,
-                        pending: None,
-                    },
-                ));
-            }
-            Err(e) => return Err(JournalError::Io(e)),
-        };
-
-        let mut r = Reader::new(&jbytes);
-        let magic = r
-            .bytes(JOURNAL_MAGIC.len())
-            .map_err(|_| JournalError::BadMagic)?;
-        if magic != JOURNAL_MAGIC {
-            return Err(JournalError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != JOURNAL_VERSION {
-            return Err(JournalError::UnsupportedVersion {
-                found: version,
-                supported: JOURNAL_VERSION,
-            });
-        }
-        let journal_base_len = r.u64()?;
-        let journal_base_crc = r.u32()?;
-
-        if (journal_base_len, journal_base_crc) != (base_len, base_crc) {
-            // The journal extends some other base. The one legitimate way
-            // here: a compaction that crashed after publishing its new
-            // base but before replacing the journal — recognisable by a
-            // `Compacted` record naming exactly the base now on disk.
-            // Records before that marker were folded into the new base;
-            // records after it arrived mid-compaction and must replay onto
-            // it (and survive into the rebuilt journal). Anything else
-            // refuses.
-            let fold = scan(&jbytes).ok().and_then(|(records, _)| {
-                records
-                    .iter()
-                    .rposition(|r| {
-                        matches!(
-                            r,
-                            Record::Compacted {
-                                base_len: l,
-                                base_crc: c,
-                            } if (*l, *c) == (base_len, base_crc)
-                        )
-                    })
-                    .map(|idx| (records, idx))
-            });
-            let Some((records, idx)) = fold else {
-                return Err(JournalError::BaseMismatch { path: journal_path });
-            };
-            let mut fresh = header_bytes(base_len, base_crc);
-            let mut delta_records = 0u32;
-            for record in &records[idx + 1..] {
-                match record {
-                    Record::AnchorDelta(edges) => {
-                        session.update_anchors(edges)?;
-                        delta_records += 1;
-                        fresh.extend_from_slice(&frame(&delta_payload(edges)));
-                    }
-                    Record::Checkpoint { n_anchors } => {
-                        let found = session.n_anchors() as u64;
-                        if *n_anchors != found {
-                            return Err(JournalError::Inconsistent {
-                                expected: *n_anchors,
-                                found,
-                            });
-                        }
-                        fresh.extend_from_slice(&frame(&checkpoint_payload(*n_anchors)));
-                    }
-                    // A later aborted fold's marker: inert, but keep it so
-                    // the rebuilt journal stays a faithful suffix copy.
-                    Record::Compacted { base_len, base_crc } => {
-                        fresh.extend_from_slice(&frame(&compacted_payload(*base_len, *base_crc)));
-                    }
-                }
-            }
-            snapshot::write_atomic(&journal_path, &fresh)?;
+        let (file, journal_len) = if r.start == HEADER_LEN {
             let file = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&journal_path)?;
-            return Ok((
-                session,
-                Journal {
-                    base_path,
-                    journal_path,
-                    file,
-                    journal_len: fresh.len() as u64,
-                    delta_records,
-                    base_len,
-                    base_crc,
-                    pending: None,
-                },
-            ));
-        }
-
-        let (records, valid_len) = scan(&jbytes)?;
-        let mut delta_records = 0u32;
-        for record in records {
-            match record {
-                Record::AnchorDelta(edges) => {
-                    session.update_anchors(&edges)?;
-                    delta_records += 1;
-                }
-                Record::Checkpoint { n_anchors } => {
-                    let found = session.n_anchors() as u64;
-                    if n_anchors != found {
-                        return Err(JournalError::Inconsistent {
-                            expected: n_anchors,
-                            found,
-                        });
-                    }
-                }
-                // A `Compacted` record under a matching header is an
-                // aborted compaction (the new base never landed): the
-                // deltas before it are already applied, so it is inert.
-                Record::Compacted { .. } => {}
+            if r.end < r.jbytes.len() {
+                // Torn tail: reclaim the intact prefix.
+                file.set_len(r.end as u64)?;
             }
-        }
-
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&journal_path)?;
-        if (valid_len as u64) < jbytes.len() as u64 {
-            // Torn tail: reclaim the intact prefix.
-            file.set_len(valid_len as u64)?;
-        }
+            (file, r.end as u64)
+        } else {
+            // Missing, or left over from a fold that crashed before its
+            // journal swap: write the journal that swap would have.
+            write_journal(
+                &journal_path,
+                r.base_len,
+                r.base_crc,
+                &r.jbytes[r.start..r.end],
+            )?
+        };
         Ok((
-            session,
+            r.session,
             Journal {
                 base_path,
                 journal_path,
                 file,
-                journal_len: valid_len as u64,
-                delta_records,
-                base_len,
-                base_crc,
+                journal_len,
+                delta_records: r.delta_records,
+                base_len: r.base_len,
+                base_crc: r.base_crc,
                 pending: None,
             },
         ))
@@ -729,8 +707,8 @@ impl Journal {
     /// steps themselves so the staging I/O runs off the owner's lock.
     ///
     /// # Errors
-    /// [`JournalError::Io`] / [`JournalError::Snapshot`] when a write
-    /// fails; the old base+journal pair stays replayable in that case.
+    /// [`JournalError::Io`] when a write fails; the old base+journal pair
+    /// stays replayable in that case.
     pub fn compact(&mut self, base_bytes: &[u8]) -> Result<(), JournalError> {
         self.begin_compact(base_bytes)?;
         let staged = match Journal::stage_compacted_base(&self.base_path, base_bytes) {
@@ -773,6 +751,7 @@ impl Journal {
             new_len,
             new_crc,
             fold_mark: self.journal_len,
+            delta_records: self.delta_records,
         });
         Ok(())
     }
@@ -803,22 +782,8 @@ impl Journal {
         base_path: &Path,
         base_bytes: &[u8],
     ) -> Result<StagedBase, JournalError> {
-        static STAGE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = STAGE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut tmp = base_path.as_os_str().to_owned();
-        tmp.push(format!(".cstage.{}-{seq}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        let write_synced = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(base_bytes)?;
-            file.sync_all()
-        };
-        if let Err(e) = write_synced() {
-            std::fs::remove_file(&tmp).ok();
-            return Err(JournalError::Io(e));
-        }
         Ok(StagedBase {
-            tmp,
+            tmp: snapshot::write_synced_temp(base_path, "cstage", base_bytes)?,
             new_len: base_bytes.len() as u64,
             new_crc: crc32(base_bytes),
         })
@@ -834,9 +799,9 @@ impl Journal {
     /// # Errors
     /// [`JournalError::Decode`] when `staged` does not match the pending
     /// compaction (the staged file is discarded, the pending fold stays
-    /// armed); [`JournalError::Io`] / [`JournalError::Snapshot`] when a
-    /// rename or the journal rewrite fails — the pending flag is cleared
-    /// and the on-disk pair stays recoverable by open.
+    /// armed); [`JournalError::Io`] when a rename or the journal rewrite
+    /// fails — the pending flag is cleared and the on-disk pair stays
+    /// recoverable by open.
     pub fn finish_compact(&mut self, staged: StagedBase) -> Result<(), JournalError> {
         let Some(pending) = self.pending else {
             staged.discard();
@@ -852,29 +817,27 @@ impl Journal {
         }
         // Records appended after the fold mark (mid-compaction traffic)
         // must survive into the fresh journal.
-        let result = (|| -> Result<(u64, u32), JournalError> {
+        let result = (|| {
             let jbytes = std::fs::read(&self.journal_path)?;
             let fold = (pending.fold_mark as usize).min(jbytes.len());
-            let suffix = jbytes[fold..].to_vec();
-            drop(jbytes);
             std::fs::rename(&staged.tmp, &self.base_path)?;
-            let mut fresh = header_bytes(pending.new_len, pending.new_crc);
-            fresh.extend_from_slice(&suffix);
-            snapshot::write_atomic(&self.journal_path, &fresh)?;
-            self.file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&self.journal_path)?;
-            Ok((fresh.len() as u64, count_delta_frames(&suffix)))
+            write_journal(
+                &self.journal_path,
+                pending.new_len,
+                pending.new_crc,
+                &jbytes[fold..],
+            )
         })();
         // Pending clears on every outcome: on failure the disk pair is
         // recovered by the next open, and leaving the flag set would
         // block all future compactions of this journal.
         self.pending = None;
-        let (journal_len, delta_records) = result?;
+        let (file, journal_len) = result?;
+        self.file = file;
         self.base_len = pending.new_len;
         self.base_crc = pending.new_crc;
         self.journal_len = journal_len;
-        self.delta_records = delta_records;
+        self.delta_records -= pending.delta_records;
         Ok(())
     }
 
@@ -915,23 +878,6 @@ impl Journal {
     /// Number of `AnchorDelta` records since the base was last written.
     pub fn delta_records(&self) -> u32 {
         self.delta_records
-    }
-}
-
-/// Writes `base_bytes` as a plain monolithic snapshot at `base_path` and
-/// unlinks any stale sibling journal — the journal-layer primitive
-/// [`crate::snapshot::save`] wraps. Without the unlink, the next
-/// journal-aware open would find a journal pinned to the *previous* base
-/// and refuse with [`JournalError::BaseMismatch`].
-///
-/// # Errors
-/// [`JournalError::Snapshot`] / [`JournalError::Io`] when a write fails.
-pub fn checkpoint_monolithic(base_path: &Path, base_bytes: &[u8]) -> Result<(), JournalError> {
-    snapshot::write_atomic(base_path, base_bytes)?;
-    match std::fs::remove_file(Journal::path_for(base_path)) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(JournalError::Io(e)),
     }
 }
 

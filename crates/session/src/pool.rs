@@ -18,18 +18,20 @@
 //!   contend and a batch touching one session many times serializes
 //!   correctly;
 //! * batch operations ([`SessionPool::update_many`] /
-//!   [`SessionPool::save_many`]) fan out over the bounded, panic-safe,
+//!   [`SessionPool::open_many`]) fan out over the bounded, panic-safe,
 //!   order-preserving worker runner ([`crate::workers::run_ordered`]) —
 //!   the same pattern `eval::multi` shards pairwise evaluation with —
 //!   returning results in job order.
 //!
 //! ## Write-ahead journaling
 //!
-//! A slot opened from disk (or explicitly journaled via
-//! [`SessionPool::attach_journal`]) carries a [`Journal`]: every anchor
-//! update is **appended to the journal before it is applied in memory**,
-//! under the slot lock, so the on-disk record is never behind the state
-//! it reconstructs. The ordering contract, precisely:
+//! A slot is persisted one way: [`SessionPool::attach_journal`] once
+//! (it writes the base and an empty journal), then
+//! [`SessionPool::checkpoint`] at each durability point. A slot opened
+//! from disk already carries its [`Journal`]. On a journaled slot every
+//! anchor update is **appended to the journal before it is applied in
+//! memory**, under the slot lock, so the on-disk record is never behind
+//! the state it reconstructs. The ordering contract, precisely:
 //!
 //! 1. the batch is pre-validated against the anchor shape (the exact
 //!    check the delta path performs), so a batch that would be refused in
@@ -41,14 +43,14 @@
 //! If (2) fails, memory is untouched and the journal holds at most a
 //! torn tail, which the next open truncates. A no-op batch (all edges
 //! already known) is journaled too and replays as the same no-op —
-//! replayed stats stay bit-equal. [`SessionPool::save`] on a journaled
-//! slot appends a fsynced `Checkpoint` record — O(|ΔA|), not O(session).
+//! replayed stats stay bit-equal. [`SessionPool::checkpoint`] appends a
+//! fsynced `Checkpoint` record — O(|ΔA|), not O(session).
 //!
 //! ## Background compaction
 //!
 //! When the pool's [`CompactionPolicy`] ([`SessionPool::set_compaction`])
-//! says a journal has grown enough, [`SessionPool::save`] /
-//! [`SessionPool::checkpoint`] no longer fold it inline — the old
+//! says a journal has grown enough, [`SessionPool::checkpoint`] no
+//! longer folds it inline — the old
 //! behavior held the slot lock across an O(session) base write, stalling
 //! every concurrent update on that slot for the full compaction. Instead
 //! the caller runs only [`Journal::begin_compact`] under the lock (a
@@ -58,8 +60,8 @@
 //! re-takes the lock for [`Journal::finish_compact`] — cheap renames.
 //! [`SessionPool::flush_compactions`] drains the queue and reports
 //! per-slot failures; a failed fold leaves the base+journal pair exactly
-//! as durable as before and re-arms the policy. Serving tiers that never
-//! call `save` trigger the same machinery via
+//! as durable as before and re-arms the policy. Serving tiers between
+//! checkpoints trigger the same machinery via
 //! [`SessionPool::maybe_compact`].
 //!
 //! Fitted stages stay out of the pool by design: a fit is a terminal,
@@ -89,7 +91,7 @@
 //! ```
 
 use crate::journal::{self, CompactionPolicy, Journal, JournalError};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot;
 use crate::stages::{AlignmentSession, Counted, Featurized};
 use crate::workers::run_ordered;
 use crate::{AnchorEdge, SessionError};
@@ -144,8 +146,6 @@ pub enum PoolError {
         /// The stage the operation required.
         expected: &'static str,
     },
-    /// Opening or saving a snapshot failed.
-    Snapshot(SnapshotError),
     /// A journal operation failed (write-ahead append, checkpoint,
     /// compaction).
     Journal(JournalError),
@@ -179,7 +179,6 @@ impl fmt::Display for PoolError {
             PoolError::WrongStage { id, expected } => {
                 write!(f, "session #{id} is not in the {expected} stage")
             }
-            PoolError::Snapshot(e) => write!(f, "pool snapshot: {e}"),
             PoolError::Journal(e) => write!(f, "pool journal: {e}"),
             PoolError::Unjournaled(id) => {
                 write!(f, "session #{id} has no journal attached")
@@ -195,18 +194,11 @@ impl fmt::Display for PoolError {
 impl std::error::Error for PoolError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PoolError::Snapshot(e) => Some(e),
             PoolError::Journal(e) => Some(e),
             PoolError::OpenSnapshot { source, .. } => Some(source),
             PoolError::Session(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<SnapshotError> for PoolError {
-    fn from(e: SnapshotError) -> Self {
-        PoolError::Snapshot(e)
     }
 }
 
@@ -235,7 +227,7 @@ impl Staged {
     fn core_bytes(&self) -> Vec<u8> {
         match self {
             Staged::Counted(s) => snapshot::to_bytes(s),
-            Staged::Featurized(s) => snapshot::counted_core_to_bytes(&s.catalog, &s.counts),
+            Staged::Featurized(s) => snapshot::counted_core_to_bytes(&s.catalog, &s.counts).0,
         }
     }
 
@@ -372,6 +364,19 @@ fn run_compaction(job: &CompactionJob, state: &CompactorState) -> Result<(), Jou
     }
 }
 
+/// Opens the base+journal pair at `path` as a journaled slot — the one
+/// opener behind [`SessionPool::open`] and [`SessionPool::open_many`].
+fn open_slot(path: &Path) -> Result<Slot, PoolError> {
+    let (session, journal) = Journal::open(path).map_err(|source| PoolError::OpenSnapshot {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    Ok(Slot {
+        staged: Staged::Counted(session),
+        journal: Some(journal),
+    })
+}
+
 /// A bounded shard manager over many [`AlignmentSession`]s; see the
 /// [module docs](self).
 pub struct SessionPool {
@@ -435,8 +440,9 @@ impl SessionPool {
         self.workers
     }
 
-    /// Sets when [`SessionPool::save`] folds a slot's journal back into
-    /// its base snapshot (default: [`CompactionPolicy::Never`]).
+    /// Sets when [`SessionPool::checkpoint`] and
+    /// [`SessionPool::maybe_compact`] fold a slot's journal back into its
+    /// base snapshot (default: [`CompactionPolicy::Never`]).
     pub fn set_compaction(&mut self, policy: CompactionPolicy) {
         self.compaction = policy;
     }
@@ -473,18 +479,15 @@ impl SessionPool {
     }
 
     /// Opens the base snapshot at `path` into a new slot, replaying its
-    /// ΔA journal (if any) through the delta path; the slot keeps the
-    /// journal attached, so later updates are write-ahead journaled.
+    /// ΔA journal through the delta path; the slot keeps the journal
+    /// attached, so later updates are write-ahead journaled.
     ///
     /// # Errors
-    /// [`PoolError::Journal`] when the base or journal cannot be
-    /// restored; the pool is unchanged in that case.
+    /// [`PoolError::OpenSnapshot`] naming `path` when the base or journal
+    /// cannot be restored; the pool is unchanged in that case.
     pub fn open(&mut self, path: impl AsRef<Path>) -> Result<SessionId, PoolError> {
-        let (session, journal) = Journal::open(path)?;
-        Ok(self.push(Slot {
-            staged: Staged::Counted(session),
-            journal: Some(journal),
-        }))
+        let slot = open_slot(path.as_ref())?;
+        Ok(self.push(slot))
     }
 
     /// Opens many base+journal pairs, sharding the decode/replay work
@@ -496,27 +499,16 @@ impl SessionPool {
         &mut self,
         paths: &[P],
     ) -> Vec<Result<SessionId, PoolError>> {
-        let mut opened: Vec<Result<(AlignmentSession<Counted>, Journal), JournalError>> =
-            Vec::with_capacity(paths.len());
+        let mut opened = Vec::with_capacity(paths.len());
         run_ordered(
             paths.len(),
             self.workers,
-            |i| Journal::open(paths[i].as_ref()),
+            |i| open_slot(paths[i].as_ref()),
             |r| opened.push(r),
         );
         opened
             .into_iter()
-            .zip(paths)
-            .map(|(r, path)| match r {
-                Ok((session, journal)) => Ok(self.push(Slot {
-                    staged: Staged::Counted(session),
-                    journal: Some(journal),
-                })),
-                Err(source) => Err(PoolError::OpenSnapshot {
-                    path: path.as_ref().to_path_buf(),
-                    source,
-                }),
-            })
+            .map(|r| r.map(|slot| self.push(slot)))
             .collect()
     }
 
@@ -653,137 +645,54 @@ impl SessionPool {
         }
     }
 
-    /// Checkpoints a session back to disk — valid from either stage
-    /// (features and fits are derived artifacts a reopening process
-    /// re-derives; the counted core is what is expensive).
-    ///
-    /// When the slot's journal is based at exactly `path`, this is the
-    /// cheap path: an fsynced `Checkpoint` record — O(|ΔA|) — and, when
-    /// the pool's [`CompactionPolicy`] says the journal has grown enough,
-    /// a **background** fold (see the module docs — the slot lock is
-    /// released before the O(session) staging I/O runs; await it with
-    /// [`SessionPool::flush_compactions`]). Otherwise (no journal, or a
-    /// foreign path) the whole counted core is written monolithically,
-    /// unlinking any stale sibling journal.
-    ///
-    /// # Errors
-    /// Slot errors as elsewhere; [`PoolError::Journal`] /
-    /// [`PoolError::Snapshot`] when a write fails.
-    pub fn save(&self, id: SessionId, path: impl AsRef<Path>) -> Result<(), PoolError> {
-        let arc = Arc::clone(
-            self.slots
-                .get(id.0)
-                .ok_or(PoolError::UnknownSession(id.0))?,
-        );
-        let mut guard = self.slot(id)?;
-        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        if slot
-            .journal
-            .as_ref()
-            .is_some_and(|j| j.base_path() == path.as_ref())
-        {
-            // The lock is held across the checkpoint append on purpose:
-            // it must be ordered against this slot's write-ahead appends.
-            let n = slot.staged.n_anchors();
-            if let Some(j) = slot.journal.as_mut() {
-                j.checkpoint(n)?;
-            }
-            self.enqueue_if_due(id, slot, &arc)?;
-            return Ok(());
-        }
-        let bytes = slot.staged.core_bytes();
-        drop(guard); // the monolithic write needs no lock
-        Ok(journal::checkpoint_monolithic(path.as_ref(), &bytes)?)
-    }
-
-    /// Checkpoints many sessions, sharding the I/O across the worker
-    /// budget, and returns one result per job **in job order** — a slot
-    /// that errors (vacated, write failure) reports its own failure
-    /// without aborting the rest of the batch, mirroring
-    /// [`SessionPool::open_many`].
-    pub fn save_many<P: AsRef<Path> + Sync>(
-        &self,
-        jobs: &[(SessionId, P)],
-    ) -> Vec<Result<(), PoolError>> {
-        let mut results = Vec::with_capacity(jobs.len());
-        run_ordered(
-            jobs.len(),
-            self.workers,
-            |i| {
-                let (id, path) = &jobs[i];
-                self.save(*id, path.as_ref())
-            },
-            |r| results.push(r),
-        );
-        results
-    }
-
     /// Appends an fsynced `Checkpoint` record to a journaled slot — the
-    /// durability point of the write-ahead scheme — and enqueues a
-    /// background fold when the pool's [`CompactionPolicy`] is due
-    /// (exactly like [`SessionPool::save`]'s journaled path).
+    /// durability point of the write-ahead scheme, valid from either
+    /// stage — and, when the pool's [`CompactionPolicy`] says the journal
+    /// has grown enough, enqueues a **background** fold (see the module
+    /// docs — the slot lock is released before the O(session) staging
+    /// I/O runs; await it with [`SessionPool::flush_compactions`]).
     ///
     /// # Errors
     /// [`PoolError::Unjournaled`] when the slot has no journal; slot and
     /// journal errors as elsewhere.
     pub fn checkpoint(&self, id: SessionId) -> Result<(), PoolError> {
-        let arc = Arc::clone(
-            self.slots
-                .get(id.0)
-                .ok_or(PoolError::UnknownSession(id.0))?,
-        );
-        let mut guard = self.slot(id)?;
-        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        let n = slot.staged.n_anchors();
-        let j = slot.journal.as_mut().ok_or(PoolError::Unjournaled(id.0))?;
-        j.checkpoint(n)?;
-        self.enqueue_if_due(id, slot, &arc)?;
-        Ok(())
+        self.enqueue_if_due(id, true).map(drop)
     }
 
     /// Evaluates the pool's [`CompactionPolicy`] against one journaled
     /// slot and enqueues a background fold when due. Returns whether a
     /// fold was enqueued. The serving tier calls this after update
-    /// batches so journals are bounded even when nobody calls
-    /// [`SessionPool::save`].
+    /// batches so journals stay bounded between checkpoints.
     ///
     /// # Errors
     /// [`PoolError::Unjournaled`] when the slot has no journal; slot and
     /// journal errors as elsewhere.
     pub fn maybe_compact(&self, id: SessionId) -> Result<bool, PoolError> {
-        let arc = Arc::clone(
-            self.slots
-                .get(id.0)
-                .ok_or(PoolError::UnknownSession(id.0))?,
-        );
-        let mut guard = self.slot(id)?;
-        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        if slot.journal.is_none() {
-            return Err(PoolError::Unjournaled(id.0));
-        }
-        self.enqueue_if_due(id, slot, &arc)
+        self.enqueue_if_due(id, false)
     }
 
-    /// Under the slot lock: if the policy says the journal is due, run
-    /// [`Journal::begin_compact`] (the O(1) durable marker) and hand the
-    /// O(session) staging to the compactor thread.
-    fn enqueue_if_due(
-        &self,
-        id: SessionId,
-        slot: &mut Slot,
-        arc: &Arc<Mutex<Option<Slot>>>,
-    ) -> Result<bool, PoolError> {
-        let due = slot
-            .journal
-            .as_ref()
-            .is_some_and(|j| j.should_compact(self.compaction));
-        if !due {
+    /// Locks a journaled slot, appends a `Checkpoint` record first when
+    /// `checkpoint` is set (under the lock: it must be ordered against
+    /// the slot's write-ahead appends), then — if the policy says the
+    /// journal is due — runs [`Journal::begin_compact`] (the O(1) durable
+    /// marker) and hands the O(session) staging to the compactor thread.
+    /// Returns whether a fold was enqueued.
+    fn enqueue_if_due(&self, id: SessionId, checkpoint: bool) -> Result<bool, PoolError> {
+        let arc = self
+            .slots
+            .get(id.0)
+            .ok_or(PoolError::UnknownSession(id.0))?;
+        let mut guard = self.slot(id)?;
+        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
+        let n = slot.staged.n_anchors();
+        let j = slot.journal.as_mut().ok_or(PoolError::Unjournaled(id.0))?;
+        if checkpoint {
+            j.checkpoint(n)?;
+        }
+        if !j.should_compact(self.compaction) {
             return Ok(false);
         }
         let bytes = slot.staged.core_bytes();
-        let Some(j) = slot.journal.as_mut() else {
-            return Ok(false);
-        };
         j.begin_compact(&bytes)?;
         let job = CompactionJob {
             slot: Arc::clone(arc),

@@ -3,15 +3,22 @@
 //!
 //! The expensive part of an alignment session is the one full catalog
 //! count the build pays (31 SpGEMM chains at paper scale); everything
-//! after that is incremental. [`save`] writes that `Counted` stage — the
-//! merged anchor matrix, every count matrix with its maintained margins,
-//! and the `L`/`R` factor chains — to a versioned, checksummed snapshot
-//! file, and [`open`] restores it **bit-identically**: a reopened session
-//! resumes [`AlignmentSession::update_anchors`] and
+//! after that is incremental. [`to_bytes`] encodes that `Counted` stage —
+//! the merged anchor matrix, every count matrix with its maintained
+//! margins, and the `L`/`R` factor chains — as a versioned, checksummed
+//! snapshot, and [`from_bytes`] restores it **bit-identically**: a
+//! reopened session resumes [`AlignmentSession::update_anchors`] and
 //! [`AlignmentSession::run_active`](crate::AlignmentSession::run_active)
 //! producing exactly the bytes the never-persisted session would, without
 //! recounting (`stats().full_counts` stays 1). Property-tested in
 //! `tests/snapshot_props.rs`.
+//!
+//! On disk a snapshot is always the **base** of a base+journal pair (see
+//! [`crate::journal`]): [`save`] writes the base plus an empty
+//! `<path>.jrnl` journal, and [`open`] replays whatever journal sits
+//! beside the base, so it returns the state the files hold — the same
+//! state [`Journal::open`](crate::Journal::open) reconstructs, without
+//! repairing or appending to either file.
 //!
 //! The on-disk layout (magic, format version, section table, CRC-32 per
 //! section) and the compatibility policy are specified in
@@ -27,7 +34,7 @@
 //! ## Example
 //!
 //! ```
-//! use session::{snapshot, SessionBuilder};
+//! use session::{snapshot, Journal, SessionBuilder};
 //!
 //! let world = datagen::generate(&datagen::presets::tiny(11));
 //! let counted = SessionBuilder::new(world.left(), world.right())
@@ -40,13 +47,15 @@
 //! assert_eq!(reopened.n_anchors(), counted.n_anchors());
 //! assert_eq!(reopened.stats().full_counts, 1); // no recount on open
 //! # std::fs::remove_file(&path).ok();
+//! # std::fs::remove_file(Journal::path_for(&path)).ok();
 //! ```
 
+use crate::journal::{self, Journal, JournalError};
 use crate::stages::{AlignmentSession, Counted};
 use metadiagram::{codec as mcodec, Catalog};
 use serde::bin::{crc32, Error as BinError, Reader, Writer};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The 8-byte file magic: "MDASNAP" + a NUL (Meta-Diagram Alignment
 /// SNAPshot).
@@ -152,10 +161,10 @@ fn section_name(id: [u8; 4]) -> String {
     id.iter().map(|&b| b as char).collect()
 }
 
-/// Serializes a [`Counted`] session to snapshot bytes (the exact content
+/// Serializes a [`Counted`] session to snapshot bytes (the base file
 /// [`save`] writes).
 pub fn to_bytes(session: &AlignmentSession<Counted>) -> Vec<u8> {
-    counted_core_to_bytes(&session.catalog, &session.counts)
+    counted_core_to_bytes(&session.catalog, &session.counts).0
 }
 
 /// The stage-agnostic encoder: any stage's counted core (catalog + delta
@@ -163,10 +172,14 @@ pub fn to_bytes(session: &AlignmentSession<Counted>) -> Vec<u8> {
 /// artifacts a reopening process re-derives. The threading knob travels
 /// inside the store (single source of truth; the session's own copy is
 /// restored from it on open).
+///
+/// Also returns the CRC-32 of the whole encoding — the value a journal
+/// header pins its base with — combined from the section CRCs the table
+/// needs anyway, so pinning a fresh base costs no second pass over it.
 pub(crate) fn counted_core_to_bytes(
     catalog: &Catalog,
     store: &metadiagram::DeltaCatalogCounts,
-) -> Vec<u8> {
+) -> (Vec<u8>, u32) {
     // META: session-level configuration (currently the feature set).
     let mut meta = Writer::new();
     mcodec::encode_feature_set(catalog.feature_set(), &mut meta);
@@ -189,11 +202,13 @@ pub(crate) fn counted_core_to_bytes(
     let table_len = sections.len() * table_entry_len;
     let mut table = Writer::with_capacity(table_len);
     let mut offset = header_len + table_len;
-    for (id, payload) in &sections {
+    let mut crcs = [0u32; 2];
+    for ((id, payload), crc) in sections.iter().zip(&mut crcs) {
+        *crc = crc32(payload);
         table.bytes(id);
         table.u64(offset as u64);
         table.u64(payload.len() as u64);
-        table.u32(crc32(payload));
+        table.u32(*crc);
         offset += payload.len();
     }
     let table = table.into_bytes();
@@ -204,10 +219,43 @@ pub(crate) fn counted_core_to_bytes(
     out.u32(sections.len() as u32);
     out.u32(crc32(&table));
     out.bytes(&table);
-    for (_, payload) in &sections {
+    let mut file_crc = crc32(out.as_bytes());
+    for ((_, payload), crc) in sections.iter().zip(crcs) {
         out.bytes(payload);
+        file_crc = crc32_combine(file_crc, crc, payload.len());
     }
-    out.into_bytes()
+    (out.into_bytes(), file_crc)
+}
+
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`, in
+/// O(log len) (zlib's `crc32_combine`): `crc_a` times x^(8·len_b) modulo
+/// the CRC polynomial, plus `crc_b`. Polynomials are in the reflected
+/// bit order of [`crc32`]: bit 31 is x⁰.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    fn mul_mod(a: u32, mut b: u32) -> u32 {
+        let mut product = 0;
+        for bit in (0..32).rev() {
+            if a & (1 << bit) != 0 {
+                product ^= b;
+            }
+            b = if b & 1 != 0 {
+                (b >> 1) ^ 0xEDB8_8320
+            } else {
+                b >> 1
+            };
+        }
+        product
+    }
+    let (mut shift, mut square) = (1u32 << 31, 1u32 << 23); // x⁰, x⁸
+    let mut n = len_b;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod(square, shift);
+        }
+        square = mul_mod(square, square);
+        n >>= 1;
+    }
+    mul_mod(shift, crc_a) ^ crc_b
 }
 
 /// Restores a [`Counted`] session from snapshot bytes.
@@ -298,38 +346,51 @@ pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotErr
     })
 }
 
-/// Writes snapshot `bytes` to `path` atomically-by-rename: bytes go to a
-/// uniquely named `<path>.tmp.<pid>-<n>` sibling first, are fsynced to
-/// stable storage, and only then replace `path` — so a crash (process or
-/// power) mid-write can never leave a half-written file under the
-/// snapshot's name, and concurrent saves to the same path cannot publish
-/// each other's partial writes (last completed rename wins). The parent
-/// directory is fsynced best-effort after the rename (not all platforms
-/// support opening a directory), which is what makes the *rename itself*
-/// durable on crash-consistent filesystems. The one shared write path
-/// for [`save`] and `SessionPool::save`.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+/// Writes `bytes` to a fresh, uniquely named `<path>.<tag>.<pid>-<n>`
+/// sibling and fsyncs it, removing it again on failure; returns the
+/// sibling's path. The one synced temp-file writer: [`write_atomic`]
+/// renames the result over `path`, and
+/// [`Journal::stage_compacted_base`](crate::Journal::stage_compacted_base)
+/// leaves it for the compaction to publish.
+pub(crate) fn write_synced_temp(path: &Path, tag: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
     use std::io::Write;
-    static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}-{seq}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
+    tmp.push(format!(".{tag}.{}-{seq}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
     let write_synced = || -> std::io::Result<()> {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
-        // Without this, delayed allocation could persist the rename but
-        // not the data, leaving a torn file under the final name after
-        // power loss — exactly what atomic-by-rename promises against.
+        // Without this, delayed allocation could persist a later rename
+        // but not the data, leaving a torn file under the final name
+        // after power loss — exactly what atomic-by-rename promises
+        // against.
         file.sync_all()
     };
-    if let Err(e) = write_synced() {
-        std::fs::remove_file(&tmp).ok();
-        return Err(SnapshotError::Io(e));
+    match write_synced() {
+        Ok(()) => Ok(tmp),
+        Err(e) => {
+            std::fs::remove_file(&tmp).ok();
+            Err(e)
+        }
     }
+}
+
+/// Writes `bytes` to `path` atomically-by-rename: bytes go to a synced
+/// `<path>.tmp.<pid>-<n>` sibling first ([`write_synced_temp`]) and only
+/// then replace `path` — so a crash (process or power) mid-write can
+/// never leave a half-written file under the final name, and concurrent
+/// writes to the same path cannot publish each other's partial writes
+/// (last completed rename wins). The parent directory is fsynced
+/// best-effort after the rename (not all platforms support opening a
+/// directory), which is what makes the *rename itself* durable on
+/// crash-consistent filesystems.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = write_synced_temp(path, "tmp", bytes)?;
     if let Err(e) = std::fs::rename(&tmp, path) {
         std::fs::remove_file(&tmp).ok();
-        return Err(SnapshotError::Io(e));
+        return Err(e);
     }
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(dir) = std::fs::File::open(dir) {
@@ -339,34 +400,60 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotErro
     Ok(())
 }
 
-/// Saves a [`Counted`] session to `path`, atomically-by-rename: bytes
-/// land in a uniquely named `<path>.tmp.<pid>-<n>` sibling first, then
-/// replace `path`, so a crash mid-write never leaves a torn file under
-/// the snapshot's name and concurrent saves cannot publish each other's
-/// partial writes (last completed rename wins).
-///
-/// This is the monolithic checkpoint of the journal layer
-/// ([`crate::journal`]): the whole counted core becomes the new base and
-/// any stale sibling `<path>.jrnl` journal is unlinked, so the file
-/// stands alone. Per-round checkpointing at O(|ΔA|) instead of
-/// O(session) is what [`crate::journal::Journal`] (and the journal-aware
-/// [`crate::SessionPool`]) adds on top.
+/// Saves a [`Counted`] session to `path` as a base+journal pair: the
+/// snapshot bytes become the base (atomically, by rename) and an empty
+/// `<path>.jrnl` journal pinned to them supersedes any journal already
+/// there. This is [`Journal::create`](crate::Journal::create) without the
+/// append handle.
 ///
 /// # Errors
-/// [`SnapshotError::Io`] when writing or renaming fails.
+/// [`JournalError::Io`] when writing or renaming either file fails.
 pub fn save(
     session: &AlignmentSession<Counted>,
     path: impl AsRef<Path>,
-) -> Result<(), SnapshotError> {
-    crate::journal::checkpoint_monolithic(path.as_ref(), &to_bytes(session))
-        .map_err(crate::journal::JournalError::demote)
+) -> Result<(), JournalError> {
+    let (bytes, crc) = counted_core_to_bytes(&session.catalog, &session.counts);
+    Journal::create_pinned(path.as_ref(), &bytes, crc).map(drop)
 }
 
-/// Opens the snapshot at `path` as a fresh [`Counted`] session.
+/// Opens the base+journal pair at `path` as a fresh [`Counted`] session:
+/// decodes the base and replays its journal (a missing journal is empty)
+/// through the delta path, exactly as
+/// [`Journal::open`](crate::Journal::open) does. Read-only — a torn tail
+/// is skipped, not truncated, and neither file is rewritten.
 ///
 /// # Errors
-/// See [`SnapshotError`].
-pub fn open(path: impl AsRef<Path>) -> Result<AlignmentSession<Counted>, SnapshotError> {
-    let bytes = std::fs::read(path.as_ref())?;
-    from_bytes(&bytes)
+/// See [`JournalError`]; a base that fails to decode is
+/// [`JournalError::Snapshot`].
+pub fn open(path: impl AsRef<Path>) -> Result<AlignmentSession<Counted>, JournalError> {
+    Ok(journal::replay(path.as_ref())?.session)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_combine_matches_a_single_pass() {
+        let bytes: Vec<u8> = (0..3000u32).map(|i| (i * 131 % 251) as u8).collect();
+        for split in [0, 1, 7, 8, 9, 255, 1024, 2999, 3000] {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len()),
+                crc32(&bytes),
+                "split at {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoder_crc_is_the_crc_of_its_bytes() {
+        let world = datagen::generate(&datagen::presets::tiny(5));
+        let counted = crate::SessionBuilder::new(world.left(), world.right())
+            .anchors(world.truth().links()[..6].to_vec())
+            .count()
+            .unwrap();
+        let (bytes, crc) = counted_core_to_bytes(&counted.catalog, &counted.counts);
+        assert_eq!(crc, crc32(&bytes));
+    }
 }

@@ -1,8 +1,8 @@
 //! Journal durability properties.
 //!
-//! The contract under test (ISSUE 9 acceptance): a session reopened
-//! through base-snapshot + journal replay is **bit-equal** to one
-//! reopened from a freshly saved monolithic snapshot; corruption either
+//! The contract under test: a session reopened through base-snapshot +
+//! journal replay is **bit-equal** to one reopened from a fresh save of
+//! the same state (base + empty journal); corruption either
 //! rewinds to a state that actually existed (torn tail) or refuses with
 //! a typed error — never a silently-wrong session; and a crash at any
 //! point of the append/compact protocol recovers cleanly.
@@ -66,7 +66,8 @@ proptest! {
         prop_assert_eq!(j.delta_records() as usize, extra.chunks(batch).count());
         drop(j);
 
-        // The monolithic twin of the same state opens to the same bytes.
+        // The same state saved fresh (base + empty journal) opens to the
+        // same bytes.
         let mono = dir.join("mono.snap");
         snapshot::save(&live, &mono).unwrap();
         let mono_open = snapshot::open(&mono).unwrap();
@@ -198,20 +199,38 @@ fn crash_between_append_and_compact_recovers() {
     let links = w.truth().links();
     let mut live = counted(&w, 6);
     let b1 = links[6..10].to_vec();
+    let b2 = links[10..13].to_vec();
 
     let dir = temp_dir("crash");
     let base = dir.join("s.snap");
+    let jpath = Journal::path_for(&base);
     let base0 = snapshot::to_bytes(&live);
     let mut j = Journal::create(&base, &base0).unwrap();
     j.append(&b1).unwrap();
     live.update_anchors(&b1).unwrap();
-    drop(j);
-    let journal_pre = std::fs::read(Journal::path_for(&base)).unwrap();
+    let journal_pre = std::fs::read(&jpath).unwrap();
     // The base a compaction of this state would publish.
     let s1 = snapshot::to_bytes(&live);
     let (s1_len, s1_crc) = (s1.len() as u64, crc32(&s1));
     let mut journal_with_marker = journal_pre.clone();
     journal_with_marker.extend_from_slice(&compacted_frame(s1_len, s1_crc));
+
+    // Run that compaction for real, with one append after its marker,
+    // and keep the journal as it stands before the swap.
+    j.begin_compact(&s1).unwrap();
+    assert_eq!(
+        std::fs::read(&jpath).unwrap(),
+        journal_with_marker,
+        "the hand-built marker must match the one begin_compact writes"
+    );
+    j.append(&b2).unwrap();
+    live.update_anchors(&b2).unwrap();
+    let s2 = snapshot::to_bytes(&live);
+    let journal_mid = std::fs::read(&jpath).unwrap();
+    let staged = Journal::stage_compacted_base(j.base_path(), &s1).unwrap();
+    j.finish_compact(staged).unwrap();
+    drop(j);
+    let journal_finished = std::fs::read(&jpath).unwrap();
 
     // Window A: crash after the durable intent marker, before the new
     // base lands. Old base + old journal + marker naming a base that is
@@ -226,24 +245,29 @@ fn crash_between_append_and_compact_recovers() {
     drop(ja);
 
     // Window B: crash after the new base published, before the journal
-    // swap. New base + old journal whose trailing marker names exactly
-    // this base: recognized as a completed compaction, journal discarded.
+    // swap. New base + old journal whose marker names exactly this base:
+    // recognized as a completed compaction; the post-marker suffix
+    // replays onto the new base.
     let b = temp_dir("crash-b");
     let bbase = b.join("s.snap");
+    let bjpath = Journal::path_for(&bbase);
     std::fs::write(&bbase, &s1).unwrap();
-    std::fs::write(Journal::path_for(&bbase), &journal_with_marker).unwrap();
+    std::fs::write(&bjpath, &journal_mid).unwrap();
+    // The read-only reader sees the same state and repairs nothing.
+    let sb_read = snapshot::open(&bbase).unwrap();
+    assert_eq!(snapshot::to_bytes(&sb_read), s2);
+    assert_eq!(std::fs::read(&bbase).unwrap(), s1);
+    assert_eq!(std::fs::read(&bjpath).unwrap(), journal_mid);
     let (sb, jb) = Journal::open(&bbase).unwrap();
-    assert_eq!(snapshot::to_bytes(&sb), s1);
-    assert_eq!(jb.delta_records(), 0);
-    assert!(
-        jb.journal_bytes() < journal_with_marker.len() as u64,
-        "the stale journal must be replaced by a fresh header-only one"
-    );
-    assert_eq!(
-        std::fs::metadata(Journal::path_for(&bbase)).unwrap().len(),
-        jb.journal_bytes()
-    );
+    assert_eq!(snapshot::to_bytes(&sb), s2);
+    assert_eq!(jb.delta_records(), 1);
+    assert_eq!(jb.journal_bytes(), journal_finished.len() as u64);
     drop(jb);
+    assert_eq!(
+        std::fs::read(&bjpath).unwrap(),
+        journal_finished,
+        "recovery must leave the journal a completed finish_compact leaves"
+    );
 
     // No marker + a foreign base: refuse — replaying those deltas onto
     // the wrong state would corrupt it silently.
@@ -253,6 +277,10 @@ fn crash_between_append_and_compact_recovers() {
     std::fs::write(Journal::path_for(&cbase), &journal_pre).unwrap();
     assert!(matches!(
         Journal::open(&cbase),
+        Err(JournalError::BaseMismatch { .. })
+    ));
+    assert!(matches!(
+        snapshot::open(&cbase),
         Err(JournalError::BaseMismatch { .. })
     ));
 
@@ -342,11 +370,12 @@ fn staged_compaction_preserves_mid_fold_appends() {
     }
 }
 
-/// `snapshot::save` is now a journal-layer wrapper: it must unlink a
-/// stale sibling journal, or the next journal-aware open would refuse
-/// with `BaseMismatch`.
+/// `snapshot::save` writes the one on-disk form: over a journaled pair
+/// it publishes the new base and supersedes the stale journal with an
+/// empty one pinned to that base, so the pair reopens without a
+/// `BaseMismatch`.
 #[test]
-fn monolithic_save_unlinks_a_stale_journal() {
+fn monolithic_save_supersedes_a_stale_journal() {
     let w = world(97);
     let links = w.truth().links();
     let mut live = counted(&w, 6);
@@ -359,11 +388,26 @@ fn monolithic_save_unlinks_a_stale_journal() {
     j.checkpoint(live.n_anchors()).unwrap();
     drop(j);
 
-    // A monolithic save over the same path supersedes base AND journal.
+    // A save over the same path supersedes base AND journal.
     snapshot::save(&live, &base).unwrap();
-    assert!(
-        !Journal::path_for(&base).exists(),
-        "save must unlink the superseded journal"
+    let new_base = std::fs::read(&base).unwrap();
+    let mut header = Writer::new();
+    header.bytes(&session::journal::JOURNAL_MAGIC);
+    header.u32(session::journal::JOURNAL_VERSION);
+    header.u64(new_base.len() as u64);
+    header.u32(crc32(&new_base));
+    assert_eq!(
+        std::fs::read(Journal::path_for(&base)).unwrap(),
+        header.into_bytes(),
+        "save must leave a header-only journal pinned to the new base"
+    );
+    assert_eq!(
+        std::fs::metadata(Journal::path_for(&base)).unwrap().len(),
+        24
+    );
+    assert_eq!(
+        snapshot::to_bytes(&snapshot::open(&base).unwrap()),
+        snapshot::to_bytes(&live)
     );
     let (reopened, j) = Journal::open(&base).unwrap();
     assert_eq!(snapshot::to_bytes(&reopened), snapshot::to_bytes(&live));

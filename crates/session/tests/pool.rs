@@ -47,6 +47,7 @@ fn open_many_shards_snapshots_and_preserves_path_order() {
     }
     for p in &paths {
         std::fs::remove_file(p).ok();
+        std::fs::remove_file(Journal::path_for(p)).ok();
     }
 }
 
@@ -80,6 +81,7 @@ fn open_many_reports_bad_paths_without_consuming_slots() {
     assert!(results[2].is_ok());
     assert_eq!(pool.len(), 2, "failed open must not consume a slot");
     std::fs::remove_file(&good).ok();
+    std::fs::remove_file(Journal::path_for(&good)).ok();
 }
 
 #[test]
@@ -182,13 +184,13 @@ fn unknown_ids_and_checkpointing_round_trip() {
         pool.n_anchors(session::pool::SessionId::from_index(99)),
         Err(PoolError::UnknownSession(99))
     ));
-    // Checkpoint a pooled session (after featurizing — the counted core
-    // is saved from either stage), reopen it elsewhere, states agree.
+    // Persist a pooled session (after featurizing — the counted core is
+    // written from either stage), reopen it elsewhere, states agree.
     let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
     pool.featurize(id, candidates).unwrap();
     pool.update_anchors(id, &w.truth().links()[7..12]).unwrap();
     let path = temp_path("checkpoint");
-    pool.save(id, &path).unwrap();
+    pool.attach_journal(id, &path).unwrap();
     let reopened = snapshot::open(&path).unwrap();
     assert_eq!(reopened.n_anchors(), pool.n_anchors(id).unwrap());
     assert_eq!(
@@ -196,6 +198,30 @@ fn unknown_ids_and_checkpointing_round_trip() {
         pool.stats(id).unwrap().anchors_applied
     );
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(Journal::path_for(&path)).ok();
+}
+
+/// `snapshot::open` reads the same base+journal pair `Journal::open`
+/// does: after journaled updates and a checkpoint it must see the live
+/// anchor count, not the stale base the journal extends.
+#[test]
+fn snapshot_open_replays_a_checkpointed_journal() {
+    let w = world(71);
+    let path = temp_path("stale-open");
+    let mut pool = SessionPool::new(1);
+    let id = pool.insert(counted(&w, 6));
+    pool.attach_journal(id, &path).unwrap();
+    pool.update_anchors(id, &w.truth().links()[6..10]).unwrap();
+    pool.checkpoint(id).unwrap();
+
+    let live = pool.n_anchors(id).unwrap();
+    assert_eq!(live, 10);
+    assert_eq!(snapshot::open(&path).unwrap().n_anchors(), live);
+    let (replayed, _) = Journal::open(&path).unwrap();
+    assert_eq!(replayed.n_anchors(), live);
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(Journal::path_for(&path)).ok();
 }
 
 #[test]
@@ -252,9 +278,9 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     let id = pool.insert(counted(&w, 6));
     pool.attach_journal(id, &path).unwrap();
 
-    // First save: one delta record — below EveryN(2), checkpoint only.
+    // First checkpoint: one delta record — below EveryN(2), no fold.
     pool.update_anchors(id, &links[6..8]).unwrap();
-    pool.save(id, &path).unwrap();
+    pool.checkpoint(id).unwrap();
     let (base_len0, journal_len0, recs0) = pool.journal_stats(id).unwrap().unwrap();
     assert_eq!(
         recs0, 1,
@@ -262,13 +288,13 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     );
     assert!(journal_len0 > 0);
 
-    // Second save: two delta records — the policy folds the journal (in
-    // the background now; flush to observe the folded state).
+    // Second checkpoint: two delta records — the policy folds the
+    // journal (in the background; flush to observe the folded state).
     pool.update_anchors(id, &links[8..10]).unwrap();
-    pool.save(id, &path).unwrap();
+    pool.checkpoint(id).unwrap();
     assert!(pool.flush_compactions().is_empty(), "the fold must succeed");
     let (base_len1, journal_len1, recs1) = pool.journal_stats(id).unwrap().unwrap();
-    assert_eq!(recs1, 0, "EveryN(2) must compact at the second save");
+    assert_eq!(recs1, 0, "EveryN(2) must compact at the second checkpoint");
     assert!(
         journal_len1 < journal_len0,
         "compaction must shrink the journal"
@@ -283,8 +309,8 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     std::fs::remove_file(Journal::path_for(&path)).ok();
 }
 
-/// Regression for the inline-compaction gap: a save that triggers the
-/// compaction policy must NOT hold the slot lock for the fold's
+/// Regression for the inline-compaction gap: a checkpoint that triggers
+/// the compaction policy must NOT hold the slot lock for the fold's
 /// O(session) staging I/O. With the compactor artificially stalled,
 /// updates on the same slot must keep completing while the fold is in
 /// flight, mid-fold updates must survive the fold, and the folded pair
@@ -303,13 +329,13 @@ fn compaction_runs_in_background_and_never_blocks_updates() {
     pool.attach_journal(id, &path).unwrap();
 
     pool.update_anchors(id, &links[6..8]).unwrap();
-    let save_started = std::time::Instant::now();
-    pool.save(id, &path).unwrap();
-    let save_took = save_started.elapsed();
+    let checkpoint_started = std::time::Instant::now();
+    pool.checkpoint(id).unwrap();
+    let checkpoint_took = checkpoint_started.elapsed();
     assert_eq!(pool.compaction_backlog(), 1, "the fold must be enqueued");
     assert!(
-        save_took < std::time::Duration::from_millis(400),
-        "save must return without waiting for the stalled fold (took {save_took:?})"
+        checkpoint_took < std::time::Duration::from_millis(400),
+        "checkpoint must return without waiting for the stalled fold (took {checkpoint_took:?})"
     );
 
     // Updates flow while the fold is stalled in the background.
@@ -338,33 +364,4 @@ fn compaction_runs_in_background_and_never_blocks_updates() {
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(Journal::path_for(&path)).ok();
-}
-
-#[test]
-fn save_many_reports_per_slot_failures() {
-    let w = world(69);
-    let mut pool = SessionPool::new(2);
-    let a = pool.insert(counted(&w, 5));
-    let b = pool.insert(counted(&w, 6));
-    let good_a = temp_path("sm-a");
-    let good_b = temp_path("sm-b");
-    let bad = std::env::temp_dir()
-        .join(format!("no-such-dir-{}", std::process::id()))
-        .join("s.snap");
-
-    let results = pool.save_many(&[(a, bad.clone()), (b, good_b.clone()), (a, good_a.clone())]);
-    assert!(
-        results[0].is_err(),
-        "unwritable path must fail its own slot"
-    );
-    assert!(results[1].is_ok());
-    assert!(
-        results[2].is_ok(),
-        "one failed save must not poison the other jobs"
-    );
-    assert_eq!(snapshot::open(&good_a).unwrap().n_anchors(), 5);
-    assert_eq!(snapshot::open(&good_b).unwrap().n_anchors(), 6);
-
-    std::fs::remove_file(&good_a).ok();
-    std::fs::remove_file(&good_b).ok();
 }

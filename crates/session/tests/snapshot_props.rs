@@ -228,4 +228,5 @@ fn save_and_open_round_trip_through_a_file() {
         .collect();
     assert!(debris.is_empty(), "save left temp files behind: {debris:?}");
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(session::Journal::path_for(&path)).ok();
 }

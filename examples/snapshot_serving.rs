@@ -8,7 +8,8 @@
 //!
 //! 1. **Checkpoint**: build one `Counted` session (the expensive step,
 //!    timed), save it with `session::snapshot::save` — a versioned,
-//!    checksummed binary file (see `docs/SNAPSHOT_FORMAT.md`).
+//!    checksummed base snapshot plus an empty journal beside it (see
+//!    `docs/SNAPSHOT_FORMAT.md`).
 //! 2. **Reopen**: `session::snapshot::open` restores the session
 //!    bit-identically (timed — this is what a fresh process pays instead
 //!    of the count).
@@ -111,4 +112,5 @@ fn main() {
     assert!(!pool.is_featurized(ids[1]).unwrap());
 
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(session::Journal::path_for(&path)).ok();
 }
